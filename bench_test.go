@@ -245,7 +245,7 @@ func BenchmarkAblationLookahead(b *testing.B) {
 			}
 			marks := 0
 			for _, bench := range cfg.Suite {
-				_, stats, err := sim.PrepareImage(bench.Prog, params, cfg.Typing, 0, 1, cfg.Cost)
+				_, stats, err := phasetune.Instrument(bench.Prog, params, cfg.Typing, cfg.Cost)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -315,8 +315,8 @@ func BenchmarkInstrumentPipeline(b *testing.B) {
 	cost := exec.DefaultCostModel()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := sim.PrepareImage(p, experiments.BestParams(),
-			phase.Options{K: 2, MinBlockInstrs: 5}, 0, 1, cost); err != nil {
+		if _, _, err := phasetune.Instrument(p, experiments.BestParams(),
+			phase.Options{K: 2, MinBlockInstrs: 5}, cost); err != nil {
 			b.Fatal(err)
 		}
 	}

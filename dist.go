@@ -24,40 +24,21 @@ import (
 var ErrNeedQueues = fmt.Errorf("distributed sweeps need serializable specs: set RunSpec.Queues (a WorkloadSpec), not a built Workload")
 
 // campaign lowers run specs onto the wire format: the session environment
-// plus one serializable spec per run, with session policy defaults
-// resolved exactly as RunContext resolves them — which is why the fabric's
-// merged output is byte-identical to a local Sweep of the same specs.
+// plus one serializable spec per run. RunContext lowers through the same
+// env and lower, then the same EnvSpec.RunConfig a worker calls — which
+// is why the fabric's merged output is byte-identical to a local Sweep of
+// the same specs.
 func (s *Session) campaign(specs []RunSpec) (dist.Campaign, error) {
-	camp := dist.Campaign{
-		Env: dist.EnvSpec{Version: dist.SpecVersion, Machine: *s.machine, Cost: s.cost,
-			Sched: s.sched, Typing: s.typing},
-	}
-	camp.Specs = make([]dist.Spec, len(specs))
+	camp := dist.Campaign{Env: s.env(), Specs: make([]dist.Spec, len(specs))}
 	for i, spec := range specs {
-		queues := spec.Queues
-		if spec.Arrivals != nil {
-			if spec.Workload != nil || queues != nil {
-				return dist.Campaign{}, fmt.Errorf("spec %d: RunSpec.Arrivals is mutually exclusive with Workload and Queues", i)
-			}
-			// Arrivals specs are serializable by construction: lower them to
-			// the same wire form RunContext resolves them to.
-			queues = &WorkloadSpec{Seed: spec.Seed, Arrivals: spec.Arrivals}
+		sp, serializable, err := s.lower(spec)
+		if err != nil {
+			return dist.Campaign{}, fmt.Errorf("spec %d: %w", i, err)
 		}
-		if spec.Workload != nil || queues == nil {
+		if !serializable {
 			return dist.Campaign{}, fmt.Errorf("spec %d: %w", i, ErrNeedQueues)
 		}
-		mode, params, tcfg, ocfg, pcfg := s.resolve(spec)
-		camp.Specs[i] = dist.Spec{
-			Queues:      *queues,
-			DurationSec: spec.DurationSec,
-			Mode:        mode,
-			Params:      params,
-			Tuning:      tcfg,
-			Online:      ocfg,
-			Placement:   pcfg,
-			TypingError: spec.TypingError,
-			Seed:        spec.Seed,
-		}
+		camp.Specs[i] = sp
 	}
 	return camp, nil
 }

@@ -1,11 +1,13 @@
 package phasetune_test
 
 import (
+	"bytes"
 	"context"
 	"sync"
 	"testing"
 
 	"phasetune"
+	"phasetune/internal/dist"
 )
 
 // shardedGrid mirrors sweepGrid in serializable form: Queues instead of a
@@ -48,6 +50,39 @@ func TestSweepShardedMatchesSweep(t *testing.T) {
 			if string(encode(t, got[i])) != string(encode(t, want[i])) {
 				t.Errorf("shards=%d: spec %d differs from Sweep", shards, i)
 			}
+		}
+	}
+}
+
+// TestLedgeredSweepShardedMatchesSweep: on a WithLedger session the
+// sharded sweep returns the local Sweep's canonical result bytes, ledgers
+// included — the session's ledger flag must reach the wire environment,
+// or the fabric's results come back unaccounted.
+func TestLedgeredSweepShardedMatchesSweep(t *testing.T) {
+	specs := shardedGrid()
+	sess := phasetune.NewSession(phasetune.WithLedger())
+	want, err := sess.Sweep(context.Background(), specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := sess.SweepSharded(context.Background(), specs, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if want[i].Ledger == nil || got[i].Ledger == nil {
+			t.Fatalf("spec %d: ledger missing (Sweep %v, SweepSharded %v)", i, want[i].Ledger != nil, got[i].Ledger != nil)
+		}
+		w, err := dist.EncodeResult(want[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := dist.EncodeResult(got[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(w, g) {
+			t.Errorf("spec %d: sharded result differs from Sweep", i)
 		}
 	}
 }

@@ -154,11 +154,15 @@ type Spec struct {
 	CacheStats bool `json:"cache_stats,omitempty"`
 }
 
-// RunConfig lowers a wire spec onto the environment. The machine, cost,
-// and scheduler are copied so the returned config is self-contained; suite
-// must be the environment's suite (EnvSpec.Suite or an equal generation).
-// Alternation-axis specs regenerate their workload from (cost, machine)
-// instead of the suite, which is the only path that can fail.
+// RunConfig lowers a wire spec onto the environment: the one place a
+// Queues or Arrivals workload is materialized and spec fields are copied
+// into a sim.RunConfig, for fabric workers and local sessions alike. The
+// machine, cost, and scheduler are copied so the returned config is
+// self-contained. suite must be the environment's suite (EnvSpec.Suite or
+// an equal generation); only suite draws read it, so callers may pass nil
+// for alternation, fleet and arrivals specs, which regenerate their
+// workload from (cost, machine) instead. Process-local attachments (memo,
+// events, tracer) are the caller's to set.
 func (e EnvSpec) RunConfig(sp Spec, suite []*workload.Benchmark, cache *sim.ImageCache) (sim.RunConfig, error) {
 	m := e.Machine
 	cost := e.Cost

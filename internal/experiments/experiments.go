@@ -150,20 +150,17 @@ func (c *Config) sweep(grid []dist.Spec) ([]*sim.Result, error) {
 		return dist.RunLocal(context.Background(), dist.Campaign{Env: c.Env(), Specs: grid},
 			dist.LocalOptions{Workers: c.Shards})
 	}
-	env := c.Env()
+	env, cache, memo := c.Env(), c.cache(), c.memo()
 	cfgs := make([]sim.RunConfig, len(grid))
 	for i := range grid {
-		cfg, err := env.RunConfig(grid[i], c.Suite, nil)
+		cfg, err := env.RunConfig(grid[i], c.Suite, cache)
 		if err != nil {
 			return nil, err
 		}
+		cfg.Memo = memo
 		cfgs[i] = cfg
 	}
-	return sim.Sweep(context.Background(), cfgs, sim.SweepOptions{
-		Workers: c.Workers,
-		Cache:   c.cache(),
-		Memo:    c.memo(),
-	})
+	return sim.Sweep(context.Background(), cfgs, sim.SweepOptions{Workers: c.Workers})
 }
 
 // baselines runs one baseline per seed (concurrently) and returns them

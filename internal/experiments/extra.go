@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"context"
+
 	"phasetune/internal/amp"
 	"phasetune/internal/cfg"
 	"phasetune/internal/exec"
@@ -446,7 +448,7 @@ func AblationTemporal(cfg Config, resampleCycles uint64) ([]AblationRow, error) 
 // runTemporal mirrors sim.Run with TemporalTuner hooks on uninstrumented
 // images.
 func runTemporal(cfg Config, w *workload.Workload, seed uint64, resampleCycles uint64) (*sim.Result, error) {
-	return sim.RunWithHook(sim.RunConfig{
+	return sim.RunWithHookContext(context.Background(), sim.RunConfig{
 		Machine: cfg.Machine, Cost: &cfg.Cost, Sched: &cfg.Sched,
 		Workload: w, DurationSec: cfg.DurationSec, Mode: sim.Baseline, Seed: seed,
 		Cache: cfg.cache(),

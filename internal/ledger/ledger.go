@@ -109,6 +109,16 @@ func (b Breakdown) BusyPs() int64 {
 		b.MonitorPs + b.MigrationPs + b.CtxSwitchPs + b.SlicingPs
 }
 
+// negative names b's first negative category, or "" when none is.
+func (b Breakdown) negative() string {
+	for i, v := range b.Values() {
+		if v < 0 {
+			return Categories()[i]
+		}
+	}
+	return ""
+}
+
 // add accumulates o into b.
 func (b *Breakdown) add(o Breakdown) {
 	b.UsefulPs += o.UsefulPs
@@ -169,13 +179,19 @@ type Ledger struct {
 // every core's categories sum to the horizon, the total equals the sum of
 // the cores (hence Cores × HorizonPs), the per-task busy time equals the
 // machine's busy time, and the per-phase rollup equals the machine's
-// step-attributed time.
+// step-attributed time. Sums can balance while one category goes
+// negative (a burst over-charged past its span leaves negative idle), so
+// it also requires every per-core and per-task category to be
+// non-negative — and with it the total, which must equal the per-core sum.
 func (l *Ledger) Verify() error {
 	if l.Cores != len(l.PerCore) {
 		return fmt.Errorf("ledger: %d cores but %d per-core rows", l.Cores, len(l.PerCore))
 	}
 	var sum Breakdown
 	for i, c := range l.PerCore {
+		if cat := c.negative(); cat != "" {
+			return fmt.Errorf("ledger: core %d %s is negative", i, cat)
+		}
 		if got := c.Total(); got != l.HorizonPs {
 			return fmt.Errorf("ledger: core %d categories sum to %d ps, horizon is %d ps", i, got, l.HorizonPs)
 		}
@@ -189,6 +205,9 @@ func (l *Ledger) Verify() error {
 	}
 	var taskBusy int64
 	for _, t := range l.PerTask {
+		if cat := t.negative(); cat != "" {
+			return fmt.Errorf("ledger: task %d %s is negative", t.PID, cat)
+		}
 		if t.IdlePs != 0 {
 			return fmt.Errorf("ledger: task %d carries idle time", t.PID)
 		}

@@ -223,12 +223,14 @@ func TestOracleAssignmentsSplitTypes(t *testing.T) {
 		}
 	}
 	topts := phase.Options{K: 2, MinBlockInstrs: 5}
-	img, _, err := sim.PrepareImage(equake.Prog,
-		transition.Params{Technique: transition.Loop, MinSize: 45, PropagateThroughUntyped: true},
-		topts, 0, 1, cm)
+	art, err := sim.NewImageCache().Get(equake.Prog, sim.ImageSpec{
+		Params: transition.Params{Technique: transition.Loop, MinSize: 45, PropagateThroughUntyped: true},
+		Typing: topts,
+	}, cm)
 	if err != nil {
 		t.Fatal(err)
 	}
+	img := art.Image
 	masks, err := online.OracleAssignments(img, topts, cm, machine, 0.06)
 	if err != nil {
 		t.Fatal(err)

@@ -132,6 +132,19 @@ type Options struct {
 	MergeEps float64
 }
 
+// Normalized fills the zero-valued K and MinBlockInstrs with their defaults
+// (2 phase types, 5-instruction blocks) — the form every pipeline consumer
+// of Options operates on.
+func (o Options) Normalized() Options {
+	if o.K == 0 {
+		o.K = 2
+	}
+	if o.MinBlockInstrs == 0 {
+		o.MinBlockInstrs = 5
+	}
+	return o
+}
+
 // DefaultMergeEps is the default centroid-merge distance. Features live in
 // [0,1]^2; genuinely distinct behaviors (compute vs. memory) sit >= 0.3
 // apart, while k-means splits of a single behavioral cloud land around

@@ -240,18 +240,24 @@ func TestMemoSweepShared(t *testing.T) {
 		}
 	}
 	cache := NewImageCache()
+	for i := range grid {
+		grid[i].Cache = cache
+	}
 
 	ctx := context.Background()
-	plain, err := Sweep(ctx, grid, SweepOptions{Workers: 1, Cache: cache})
+	plain, err := Sweep(ctx, grid, SweepOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	memo := exec.NewSegmentMemo(0)
-	memoized, err := Sweep(ctx, grid, SweepOptions{Workers: 4, Cache: cache, Memo: memo})
+	for i := range grid {
+		grid[i].Memo = memo
+	}
+	memoized, err := Sweep(ctx, grid, SweepOptions{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rerun, err := Sweep(ctx, grid, SweepOptions{Workers: 4, Cache: cache, Memo: memo})
+	rerun, err := Sweep(ctx, grid, SweepOptions{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

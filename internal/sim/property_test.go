@@ -115,10 +115,11 @@ func TestRandomProgramsSurviveFullPipeline(t *testing.T) {
 			}
 		}
 		for _, params := range techniques {
-			img, _, err := PrepareImage(p, params, phase.Options{K: 2, MinBlockInstrs: 5}, 0, uint64(i), cost)
+			art, err := prepareArtifact(p, ImageSpec{Params: params, Typing: phase.Options{K: 2, MinBlockInstrs: 5}}, cost)
 			if err != nil {
 				t.Fatalf("trial %d %s: %v", i, params.Name(), err)
 			}
+			img := art.Image
 			// Execute bounded with a tuner attached; must not panic or hang.
 			hw := osched.DefaultConfig()
 			_ = hw
@@ -173,12 +174,13 @@ func TestMarkCostsAccounted(t *testing.T) {
 	r := rng.New(31)
 	for i := 0; i < 10; i++ {
 		p := randomProgram(r, i)
-		img, _, err := PrepareImage(p, transition.Params{
+		art, err := prepareArtifact(p, ImageSpec{Params: transition.Params{
 			Technique: transition.BasicBlock, MinSize: 10, PropagateThroughUntyped: true,
-		}, phase.Options{K: 2, MinBlockInstrs: 5}, 0, uint64(i), cost)
+		}, Typing: phase.Options{K: 2, MinBlockInstrs: 5}}, cost)
 		if err != nil {
 			t.Fatal(err)
 		}
+		img := art.Image
 		proc := exec.NewProcess(1, img, &cost, 5, nil)
 		proc.RunIsolated(&pars[0], 0, 4096, 2_000_000)
 		wantInstr := proc.MarksExecuted * uint64(cost.MarkInstrs)
@@ -197,12 +199,13 @@ func TestRandomMarkedImagesValid(t *testing.T) {
 	r := rng.New(99)
 	for i := 0; i < 25; i++ {
 		p := randomProgram(r, i)
-		img, stats, err := PrepareImage(p, transition.Params{
+		art, err := prepareArtifact(p, ImageSpec{Params: transition.Params{
 			Technique: transition.BasicBlock, MinSize: 10, PropagateThroughUntyped: true,
-		}, phase.Options{K: 2, MinBlockInstrs: 5}, 0, uint64(i), cost)
+		}, Typing: phase.Options{K: 2, MinBlockInstrs: 5}}, cost)
 		if err != nil {
 			t.Fatal(err)
 		}
+		img, stats := art.Image, art.Stats
 		seen := map[int]int{}
 		bytes := 0
 		for _, pr := range img.Prog.Procs {

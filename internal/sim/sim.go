@@ -215,28 +215,27 @@ type ImageStats struct {
 // HookFactory builds the mark hook installed on each spawned process.
 type HookFactory func(k *osched.Kernel, img *exec.Image) exec.MarkHook
 
-// Run executes one full workload simulation.
-func Run(cfg RunConfig) (*Result, error) {
-	return RunContext(context.Background(), cfg)
+// wiring is the mode-dependent half of one kernel's run: which image each
+// benchmark executes, the runtime that places it (static tuner, online
+// monitor, hybrid, or oracle), and the mark hook each process gets.
+// Workload runs and isolation runs both build theirs with newWiring, so a
+// mode means the same thing in both.
+type wiring struct {
+	kernel *osched.Kernel
+	// images is the preparation every benchmark of the run goes through.
+	images ImageSpec
+	// onImage runs the mode's per-image setup once per prepared image
+	// (nil: none).
+	onImage func(img *exec.Image) error
+	// newHook builds one process's mark hook (nil: no hook).
+	newHook func(img *exec.Image) exec.MarkHook
+	// stats reports the online monitor's statistics (nil: no monitor).
+	stats func() online.Stats
 }
 
-// RunContext is Run with cancellation: the simulation polls ctx while it
-// advances and returns ctx.Err() if it fires mid-run.
-func RunContext(ctx context.Context, cfg RunConfig) (*Result, error) {
-	return RunWithHookContext(ctx, cfg, nil)
-}
-
-// RunWithHook is RunWithHookContext without cancellation.
-func RunWithHook(cfg RunConfig, factory HookFactory) (*Result, error) {
-	return RunWithHookContext(context.Background(), cfg, factory)
-}
-
-// RunWithHookContext is RunContext with a custom per-process hook factory.
-// When factory is nil, Tuned and Overhead modes install the standard tuning
-// runtime and Baseline installs no hook. A non-nil factory overrides the
-// hook choice (used by the temporal-adaptation baseline from the
-// related-work ablation).
-func RunWithHookContext(ctx context.Context, cfg RunConfig, factory HookFactory) (*Result, error) {
+// newWiring builds the kernel cfg describes and wires the mode's runtime
+// into it. A non-nil factory overrides the mode's hook choice.
+func newWiring(cfg RunConfig, factory HookFactory) (*wiring, error) {
 	if cfg.Mode < Baseline || cfg.Mode > Hybrid {
 		// An unknown mode must fail loudly: it would otherwise fall through
 		// every hook switch and run as a silent baseline — a spec from a
@@ -255,6 +254,128 @@ func RunWithHookContext(ctx context.Context, cfg RunConfig, factory HookFactory)
 	if cfg.Sched != nil {
 		sched = *cfg.Sched
 	}
+	topts := cfg.TypingOpts.Normalized()
+	pcfg := cfg.Placement.Normalized()
+	onlCfg := cfg.Online.Normalized()
+	if cfg.Mode == Dynamic || cfg.Mode == Hybrid {
+		sched.MonitorIntervalSec = onlCfg.TickSec
+	}
+	kernel, err := osched.NewKernel(machine, cost, sched)
+	if err != nil {
+		return nil, err
+	}
+	kernel.Trace = cfg.Trace
+	wr := &wiring{kernel: kernel, images: ImageSpec{
+		// Dynamic runs execute unmodified binaries — that is the point of
+		// the online competitor.
+		Baseline: cfg.Mode == Baseline || cfg.Mode == Dynamic,
+		Params:   cfg.Params, Typing: topts,
+		ErrFrac: cfg.TypingError, ErrSeed: cfg.Seed ^ 0x5eed,
+	}}
+
+	switch cfg.Mode {
+	case Tuned, Overhead:
+		tcfg := cfg.Tuning
+		tcfg.Mode = tuning.ModeTune
+		// Capacity-aware static runs share one placement engine across
+		// every tuner of the kernel — spill arbitration needs the
+		// machine-wide view.
+		var spill *place.Engine
+		if cfg.Mode == Overhead {
+			tcfg.Mode = tuning.ModeAllCores
+		} else if tcfg.Spill {
+			spill = place.NewEngine(machine, tcfg.Delta, pcfg)
+			spill.SetTracer(cfg.Trace)
+		}
+		wr.newHook = func(img *exec.Image) exec.MarkHook {
+			t := tuning.NewTuner(tcfg, machine, kernel.Hardware, img)
+			if spill != nil {
+				t.SetEngine(spill)
+			}
+			t.SetTracer(cfg.Trace)
+			return t
+		}
+	case Dynamic:
+		monitor := online.NewManager(onlCfg, pcfg, machine, kernel.Hardware)
+		monitor.SetTracer(cfg.Trace)
+		kernel.Monitor = monitor
+		wr.stats = monitor.Stats
+	case Hybrid:
+		hybrid := online.NewHybrid(onlCfg, pcfg, machine, kernel.Hardware)
+		hybrid.SetTracer(cfg.Trace)
+		kernel.Monitor = hybrid
+		wr.stats = hybrid.Stats
+		wr.newHook = hybrid.Hook
+	case Oracle:
+		// The oracle is perfect knowledge by definition: injected clustering
+		// error never reaches its images (OracleAssignments re-derives clean
+		// typing and requires the mark types to match it).
+		wr.images.ErrFrac = 0
+		if pcfg.Contention == nil {
+			masks := map[*exec.Image]map[phase.Type]uint64{}
+			wr.onImage = func(img *exec.Image) (err error) {
+				masks[img], err = online.OracleAssignments(img, topts, cost, machine, cfg.Tuning.Delta)
+				return err
+			}
+			wr.newHook = func(img *exec.Image) exec.MarkHook { return online.NewOracleHook(img, masks[img]) }
+			break
+		}
+		// Contention-priced oracle runs register claims on one run-wide
+		// engine (built from the same normalized placement config every
+		// other engine-backed mode uses); the plain mask path above stays
+		// untouched — and byte-identical — when pricing is off.
+		eng := place.NewEngine(machine, cfg.Tuning.Delta, pcfg)
+		eng.SetTracer(cfg.Trace)
+		decs := map[*exec.Image]map[phase.Type]place.Decision{}
+		wr.onImage = func(img *exec.Image) (err error) {
+			decs[img], err = online.OracleDecisions(eng, img, topts, cost, machine)
+			return err
+		}
+		wr.newHook = func(img *exec.Image) exec.MarkHook { return online.NewOracleEngineHook(eng, img, decs[img]) }
+	}
+	if factory != nil {
+		wr.newHook = func(img *exec.Image) exec.MarkHook { return factory(kernel, img) }
+	}
+	return wr, nil
+}
+
+// prepare resolves one benchmark's image through the cache (directly when
+// cache is nil) and runs the mode's per-image setup. cached reports
+// whether the cache served the image without running the static pipeline.
+func (wr *wiring) prepare(cache *ImageCache, b *workload.Benchmark) (art *Artifact, cached bool, err error) {
+	art, cached, err = prepare(cache, b.Prog, wr.images, wr.kernel.Cost)
+	if err == nil && wr.onImage != nil {
+		err = wr.onImage(art.Image)
+	}
+	return art, cached, err
+}
+
+// hook builds a new process's mark hook. With a tracer attached, the hook
+// is wrapped so mark boundaries emit instants before delegating.
+func (wr *wiring) hook(img *exec.Image) exec.MarkHook {
+	if wr.newHook == nil {
+		return nil
+	}
+	return traceMarkHook(wr.kernel.Trace, wr.newHook(img))
+}
+
+// Run executes one full workload simulation.
+func Run(cfg RunConfig) (*Result, error) {
+	return RunContext(context.Background(), cfg)
+}
+
+// RunContext is Run with cancellation: the simulation polls ctx while it
+// advances and returns ctx.Err() if it fires mid-run.
+func RunContext(ctx context.Context, cfg RunConfig) (*Result, error) {
+	return RunWithHookContext(ctx, cfg, nil)
+}
+
+// RunWithHookContext is RunContext with a custom per-process hook factory.
+// When factory is nil, the mode picks the hook: the tuning runtime for
+// Tuned and Overhead, the hybrid's mark hook, the oracle's, or none. A
+// non-nil factory overrides the hook choice (used by the
+// temporal-adaptation baseline from the related-work ablation).
+func RunWithHookContext(ctx context.Context, cfg RunConfig, factory HookFactory) (*Result, error) {
 	closed := cfg.Workload != nil && cfg.Workload.NumSlots() > 0
 	open := cfg.Stream != nil
 	switch {
@@ -265,42 +386,15 @@ func RunWithHookContext(ctx context.Context, cfg RunConfig, factory HookFactory)
 	case !closed && !open:
 		return nil, fmt.Errorf("sim: empty workload")
 	}
-	topts := cfg.TypingOpts
-	if topts.K == 0 {
-		topts.K = 2
+	wr, err := newWiring(cfg, factory)
+	if err != nil {
+		return nil, err
 	}
-	if topts.MinBlockInstrs == 0 {
-		topts.MinBlockInstrs = 5
-	}
+	kernel := wr.kernel
 
 	// Prepare one image per distinct benchmark. With a cache, preparation
 	// is a lookup after the first run that needs the same artifact.
-	// Dynamic runs execute unmodified binaries — that is the point of the
-	// online competitor.
-	spec := ImageSpec{
-		Baseline: cfg.Mode == Baseline || cfg.Mode == Dynamic,
-		Params:   cfg.Params, Typing: topts,
-		ErrFrac: cfg.TypingError, ErrSeed: cfg.Seed ^ 0x5eed,
-	}
-	if cfg.Mode == Oracle {
-		// The oracle is perfect knowledge by definition: injected clustering
-		// error never reaches its images (OracleAssignments re-derives clean
-		// typing and requires the mark types to match it).
-		spec.ErrFrac = 0
-	}
 	images := map[*workload.Benchmark]*exec.Image{}
-	oracleMasks := map[*exec.Image]map[phase.Type]uint64{}
-	// Contention-priced oracle runs register claims on one run-wide engine
-	// (built from the same normalized placement config every other
-	// engine-backed mode uses); the plain mask path stays untouched — and
-	// byte-identical — when pricing is off.
-	pcfg := cfg.Placement.Normalized()
-	var oracleEng *place.Engine
-	oracleDecs := map[*exec.Image]map[phase.Type]place.Decision{}
-	if cfg.Mode == Oracle && pcfg.Contention != nil {
-		oracleEng = place.NewEngine(machine, cfg.Tuning.Delta, pcfg)
-		oracleEng.SetTracer(cfg.Trace)
-	}
 	res := &Result{Images: map[string]ImageStats{}, DurationSec: cfg.DurationSec}
 	benchGroups := [][]*workload.Benchmark{}
 	if closed {
@@ -316,42 +410,18 @@ func RunWithHookContext(ctx context.Context, cfg RunConfig, factory HookFactory)
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			art, cached, err := prepare(cfg.Cache, b.Prog, spec, cost)
+			art, cached, err := wr.prepare(cfg.Cache, b)
 			if err != nil {
 				return nil, fmt.Errorf("sim: %s: %w", b.Name(), err)
 			}
 			images[b] = art.Image
 			res.Images[b.Name()] = art.Stats
-			if cfg.Mode == Oracle {
-				if oracleEng != nil {
-					decs, err := online.OracleDecisions(oracleEng, art.Image, topts, cost, machine)
-					if err != nil {
-						return nil, fmt.Errorf("sim: oracle %s: %w", b.Name(), err)
-					}
-					oracleDecs[art.Image] = decs
-				} else {
-					masks, err := online.OracleAssignments(art.Image, topts, cost, machine, cfg.Tuning.Delta)
-					if err != nil {
-						return nil, fmt.Errorf("sim: oracle %s: %w", b.Name(), err)
-					}
-					oracleMasks[art.Image] = masks
-				}
-			}
 			if cfg.Events.OnImage != nil {
 				cfg.Events.OnImage(b.Name(), art.Stats, cached)
 			}
 		}
 	}
 
-	onlCfg := cfg.Online.Normalized()
-	if cfg.Mode == Dynamic || cfg.Mode == Hybrid {
-		sched.MonitorIntervalSec = onlCfg.TickSec
-	}
-	kernel, err := osched.NewKernel(machine, cost, sched)
-	if err != nil {
-		return nil, err
-	}
-	kernel.Trace = cfg.Trace
 	kernel.Memo = cfg.Memo
 	var col *ledger.Collector
 	if cfg.Ledger {
@@ -363,23 +433,11 @@ func RunWithHookContext(ctx context.Context, cfg RunConfig, factory HookFactory)
 				fastPs = p.PsPerCycle
 			}
 		}
-		col = ledger.NewCollector(len(machine.Cores), fastPs)
+		col = ledger.NewCollector(len(kernel.Machine.Cores), fastPs)
 		kernel.Ledger = col
 	}
 	if cfg.CacheStats {
 		kernel.EnableCacheStats()
-	}
-	var monitor *online.Manager
-	var hybrid *online.Hybrid
-	switch cfg.Mode {
-	case Dynamic:
-		monitor = online.NewManager(onlCfg, pcfg, machine, kernel.Hardware)
-		monitor.SetTracer(cfg.Trace)
-		kernel.Monitor = monitor
-	case Hybrid:
-		hybrid = online.NewHybrid(onlCfg, pcfg, machine, kernel.Hardware)
-		hybrid.SetTracer(cfg.Trace)
-		kernel.Monitor = hybrid
 	}
 	if cfg.Events.OnProgress != nil {
 		onProgress := cfg.Events.OnProgress
@@ -388,49 +446,8 @@ func RunWithHookContext(ctx context.Context, cfg RunConfig, factory HookFactory)
 		}
 	}
 
-	tcfg := cfg.Tuning
-	switch cfg.Mode {
-	case Tuned:
-		tcfg.Mode = tuning.ModeTune
-	case Overhead:
-		tcfg.Mode = tuning.ModeAllCores
-	}
-	// Capacity-aware static runs share one placement engine across every
-	// tuner of the kernel — spill arbitration needs the machine-wide view.
-	var spillEng *place.Engine
-	if cfg.Mode == Tuned && tcfg.Spill {
-		spillEng = place.NewEngine(machine, tcfg.Delta, pcfg)
-		spillEng.SetTracer(cfg.Trace)
-	}
-
-	// The hook choice is per-process and mode-dependent; the closed slot
-	// driver and the open arrival driver build hooks identically. With a
-	// tracer attached, the chosen hook is wrapped so mark boundaries emit
-	// instants before delegating.
-	mkHook := func(k *osched.Kernel, img *exec.Image) exec.MarkHook {
-		var hook exec.MarkHook
-		switch {
-		case factory != nil:
-			hook = factory(k, img)
-		case cfg.Mode == Tuned || cfg.Mode == Overhead:
-			t := tuning.NewTuner(tcfg, machine, k.Hardware, img)
-			if spillEng != nil {
-				t.SetEngine(spillEng)
-			}
-			t.SetTracer(cfg.Trace)
-			hook = t
-		case cfg.Mode == Oracle:
-			if oracleEng != nil {
-				hook = online.NewOracleEngineHook(oracleEng, img, oracleDecs[img])
-			} else {
-				hook = online.NewOracleHook(img, oracleMasks[img])
-			}
-		case cfg.Mode == Hybrid:
-			hook = hybrid.Hook(img)
-		}
-		return traceMarkHook(cfg.Trace, hook)
-	}
-
+	// The closed slot driver and the open arrival driver build hooks
+	// identically.
 	if closed {
 		// Per-slot queue positions; spawn the next job of a slot on
 		// completion.
@@ -448,7 +465,7 @@ func RunWithHookContext(ctx context.Context, cfg RunConfig, factory HookFactory)
 			b := q[positions[slot]]
 			positions[slot]++
 			img := images[b]
-			p := exec.NewProcess(k.NextPID(), img, &kernel.Cost, slotSeeds[slot].Uint64(), mkHook(k, img))
+			p := exec.NewProcess(k.NextPID(), img, &kernel.Cost, slotSeeds[slot].Uint64(), wr.hook(img))
 			k.Spawn(p, b.Name(), slot, 0)
 		}
 		kernel.OnExit = func(k *osched.Kernel, t *osched.Task) {
@@ -477,7 +494,7 @@ func RunWithHookContext(ctx context.Context, cfg RunConfig, factory HookFactory)
 						trace.Arg{Key: "arrival", Value: idx},
 						trace.Arg{Key: "name", Value: b.Name()})
 				}
-				p := exec.NewProcess(k.NextPID(), img, &kernel.Cost, seed, mkHook(k, img))
+				p := exec.NewProcess(k.NextPID(), img, &kernel.Cost, seed, wr.hook(img))
 				k.Spawn(p, b.Name(), idx, 0)
 			})
 		}
@@ -486,7 +503,7 @@ func RunWithHookContext(ctx context.Context, cfg RunConfig, factory HookFactory)
 	if cfg.Trace != nil {
 		cfg.Trace.Instant("sim", "run.start", trace.PidMachine, trace.TidKernel, kernel.NowPs(),
 			trace.Arg{Key: "mode", Value: cfg.Mode.String()},
-			trace.Arg{Key: "machine", Value: machine.Name},
+			trace.Arg{Key: "machine", Value: kernel.Machine.Name},
 			trace.Arg{Key: "duration_sec", Value: cfg.DurationSec},
 			trace.Arg{Key: "seed", Value: cfg.Seed})
 	}
@@ -540,12 +557,8 @@ func RunWithHookContext(ctx context.Context, cfg RunConfig, factory HookFactory)
 	res.CounterDefers = kernel.Hardware.Defers()
 	res.PeakRunnable = kernel.PeakLive()
 	res.OvercommitSlices = kernel.OvercommitSlices()
-	if monitor != nil {
-		stats := monitor.Stats()
-		res.Online = &stats
-	}
-	if hybrid != nil {
-		stats := hybrid.Stats()
+	if wr.stats != nil {
+		stats := wr.stats()
 		res.Online = &stats
 	}
 	if col != nil {
@@ -569,123 +582,56 @@ type IsolationResult struct {
 }
 
 // IsolationSpec configures an isolation campaign: every suite benchmark
-// runs alone on the machine.
+// runs alone on the machine. Mode selects baseline (for the t_j reference
+// times of max-stretch) or tuned (for Table 1 switch counts); every mode
+// wires its runtime exactly as a workload run does.
 type IsolationSpec struct {
-	Suite     []*workload.Benchmark
-	Machine   *amp.Machine
-	Cost      exec.CostModel
-	Sched     osched.Config
-	Mode      Mode
-	Params    transition.Params
-	Tuning    tuning.Config
-	Online    online.Config
-	Placement place.Config
-	Typing    phase.Options
-	Seed      uint64
+	Suite   []*workload.Benchmark
+	Machine *amp.Machine
+	Cost    exec.CostModel
+	Sched   osched.Config
+	Mode    Mode
+	Params  transition.Params
+	Tuning  tuning.Config
+	Typing  phase.Options
+	Seed    uint64
 	// Workers bounds concurrent isolation runs (<=1 means sequential).
 	Workers int
 	// Cache, when set, serves prepared images.
 	Cache *ImageCache
 }
 
-// Isolation runs each benchmark alone on the machine and returns per-name
-// results. mode selects baseline (for t_j reference times) or tuned (for
-// Table 1 switch counts).
-func Isolation(suite []*workload.Benchmark, machine *amp.Machine, cost exec.CostModel,
-	sched osched.Config, mode Mode, params transition.Params, tcfg tuning.Config,
-	topts phase.Options, seed uint64) (map[string]IsolationResult, error) {
-
-	return IsolationContext(context.Background(), IsolationSpec{
-		Suite: suite, Machine: machine, Cost: cost, Sched: sched, Mode: mode,
-		Params: params, Tuning: tcfg, Typing: topts, Seed: seed,
-	})
-}
-
-// IsolationContext runs the isolation campaign with cancellation, fanning
-// the suite across spec.Workers goroutines. Results are independent of the
-// worker count: each benchmark's run is a pure function of the spec.
+// IsolationContext runs each benchmark alone on the machine, fanning the
+// suite across spec.Workers goroutines, and returns per-name results.
+// Results are independent of the worker count: each benchmark's run is a
+// pure function of the spec.
 func IsolationContext(ctx context.Context, spec IsolationSpec) (map[string]IsolationResult, error) {
-	machine := spec.Machine
-	if machine == nil {
-		machine = amp.Quad2Fast2Slow()
-	}
-	topts := spec.Typing
-	if topts.K == 0 {
-		topts.K = 2
-	}
-	if topts.MinBlockInstrs == 0 {
-		topts.MinBlockInstrs = 5
-	}
-	tcfg := spec.Tuning
-	switch spec.Mode {
-	case Tuned:
-		tcfg.Mode = tuning.ModeTune
-	case Overhead:
-		tcfg.Mode = tuning.ModeAllCores
-	}
-
-	onlCfg := spec.Online.Normalized()
+	cfg := RunConfig{Machine: spec.Machine, Cost: &spec.Cost, Sched: &spec.Sched,
+		Mode: spec.Mode, Params: spec.Params, Tuning: spec.Tuning, TypingOpts: spec.Typing}
 	results := make([]IsolationResult, len(spec.Suite))
-	runOne := func(b *workload.Benchmark) (IsolationResult, error) {
-		art, _, err := prepare(spec.Cache, b.Prog, ImageSpec{
-			Baseline: spec.Mode == Baseline || spec.Mode == Dynamic,
-			Params:   spec.Params, Typing: topts, ErrSeed: spec.Seed,
-		}, spec.Cost)
+	err := ForEach(ctx, len(spec.Suite), spec.Workers, func(i int) error {
+		b := spec.Suite[i]
+		wr, err := newWiring(cfg, nil)
 		if err != nil {
-			return IsolationResult{}, fmt.Errorf("sim: isolation %s: %w", b.Name(), err)
+			return err
 		}
-		img := art.Image
-		sched := spec.Sched
-		if spec.Mode == Dynamic || spec.Mode == Hybrid {
-			sched.MonitorIntervalSec = onlCfg.TickSec
-		}
-		kernel, err := osched.NewKernel(machine, spec.Cost, sched)
+		art, _, err := wr.prepare(spec.Cache, b)
 		if err != nil {
-			return IsolationResult{}, err
+			return fmt.Errorf("sim: isolation %s: %w", b.Name(), err)
 		}
-		pcfg := spec.Placement.Normalized()
-		var hook exec.MarkHook
-		switch spec.Mode {
-		case Tuned, Overhead:
-			t := tuning.NewTuner(tcfg, machine, kernel.Hardware, img)
-			if tcfg.Spill {
-				eng := place.NewEngine(machine, tcfg.Delta, pcfg)
-				t.SetEngine(eng)
-			}
-			hook = t
-		case Dynamic:
-			kernel.Monitor = online.NewManager(onlCfg, pcfg, machine, kernel.Hardware)
-		case Hybrid:
-			hm := online.NewHybrid(onlCfg, pcfg, machine, kernel.Hardware)
-			kernel.Monitor = hm
-			hook = hm.Hook(img)
-		case Oracle:
-			masks, err := online.OracleAssignments(img, topts, spec.Cost, machine, tcfg.Delta)
-			if err != nil {
-				return IsolationResult{}, fmt.Errorf("sim: isolation oracle %s: %w", b.Name(), err)
-			}
-			hook = online.NewOracleHook(img, masks)
-		}
-		p := exec.NewProcess(kernel.NextPID(), img, &kernel.Cost, spec.Seed^uint64(len(b.Name())), hook)
+		kernel := wr.kernel
+		p := exec.NewProcess(kernel.NextPID(), art.Image, &kernel.Cost, spec.Seed^uint64(len(b.Name())), wr.hook(art.Image))
 		task := kernel.Spawn(p, b.Name(), 0, 0)
 		if err := kernel.RunUntilDone(1e6); err != nil {
-			return IsolationResult{}, fmt.Errorf("sim: isolation %s: %w", b.Name(), err)
+			return fmt.Errorf("sim: isolation %s: %w", b.Name(), err)
 		}
-		return IsolationResult{
+		results[i] = IsolationResult{
 			RuntimeSec:    osched.PsToSec(task.CompletionPs - task.ArrivalPs),
 			Migrations:    task.Migrations,
 			Cycles:        p.Counters.Cycles,
 			Instructions:  p.Counters.Instructions,
 			MarksExecuted: p.MarksExecuted,
-		}, nil
-	}
-
-	err := ForEach(ctx, len(spec.Suite), spec.Workers, func(i int) error {
-		r, err := runOne(spec.Suite[i])
-		if err != nil {
-			return err
 		}
-		results[i] = r
 		return nil
 	})
 	if err != nil {

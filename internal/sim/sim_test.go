@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"context"
+	"reflect"
 	"testing"
 
 	"phasetune/internal/amp"
@@ -172,8 +174,10 @@ func TestIsolationTable(t *testing.T) {
 		t.Skip("isolation simulation")
 	}
 	s := suite(t)
-	iso, err := Isolation(s, amp.Quad2Fast2Slow(), exec.DefaultCostModel(),
-		osched.DefaultConfig(), Baseline, transition.Params{}, tuning.Config{}, phase.Options{}, 1)
+	iso, err := IsolationContext(context.Background(), IsolationSpec{
+		Suite: s, Machine: amp.Quad2Fast2Slow(), Cost: exec.DefaultCostModel(),
+		Sched: osched.DefaultConfig(), Mode: Baseline, Seed: 1,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,6 +204,59 @@ func TestIsolationTable(t *testing.T) {
 	}
 }
 
+// TestIsolationAllModes runs three short suite benchmarks alone under
+// every mode. Isolation wires each mode's runtime exactly as a workload
+// run does, so every mode must complete, give the same map at any worker
+// count, and execute marks only where it runs instrumented images.
+func TestIsolationAllModes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("isolation simulation")
+	}
+	var picked []*workload.Benchmark
+	for _, b := range suite(t) {
+		switch b.Name() {
+		case "164.gzip", "175.vpr", "183.equake":
+			picked = append(picked, b)
+		}
+	}
+	if len(picked) != 3 {
+		t.Fatalf("picked %d benchmarks, want 3", len(picked))
+	}
+	cache := NewImageCache()
+	for _, mode := range []Mode{Baseline, Tuned, Overhead, Dynamic, Hybrid, Oracle} {
+		var maps [2]map[string]IsolationResult
+		for i, workers := range []int{1, 4} {
+			iso, err := IsolationContext(context.Background(), IsolationSpec{
+				Suite: picked, Machine: amp.Quad2Fast2Slow(), Cost: exec.DefaultCostModel(),
+				Sched: osched.DefaultConfig(), Mode: mode, Params: loopParams(),
+				Tuning: tuning.DefaultConfig(), Seed: 1, Workers: workers, Cache: cache,
+			})
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", mode, workers, err)
+			}
+			maps[i] = iso
+		}
+		if !reflect.DeepEqual(maps[0], maps[1]) {
+			t.Errorf("%s: Workers 1 and 4 disagree:\n%+v\n%+v", mode, maps[0], maps[1])
+		}
+		instrumented := mode != Baseline && mode != Dynamic
+		var marks uint64
+		for _, b := range picked {
+			r, ok := maps[0][b.Name()]
+			if !ok || r.RuntimeSec <= 0 || r.Instructions == 0 {
+				t.Errorf("%s %s: incomplete isolation result %+v", mode, b.Name(), r)
+			}
+			if !instrumented && r.MarksExecuted != 0 {
+				t.Errorf("%s %s: executed %d marks on an uninstrumented image", mode, b.Name(), r.MarksExecuted)
+			}
+			marks += r.MarksExecuted
+		}
+		if instrumented && marks == 0 {
+			t.Errorf("%s: instrumented mode executed no marks", mode)
+		}
+	}
+}
+
 func TestPrepareImageStats(t *testing.T) {
 	s := suite(t)
 	var gems *workload.Benchmark
@@ -211,11 +268,12 @@ func TestPrepareImageStats(t *testing.T) {
 	if gems == nil {
 		t.Fatal("suite missing 459.GemsFDTD")
 	}
-	img, stats, err := PrepareImage(gems.Prog, loopParams(), phase.Options{K: 2, MinBlockInstrs: 5},
-		0, 1, exec.DefaultCostModel())
+	art, err := prepareArtifact(gems.Prog, ImageSpec{Params: loopParams(), Typing: phase.Options{K: 2, MinBlockInstrs: 5}},
+		exec.DefaultCostModel())
 	if err != nil {
 		t.Fatal(err)
 	}
+	img, stats := art.Image, art.Stats
 	// A single-behavior benchmark must collapse to one phase type and carry
 	// no marks (Table 1 shows zero switches for GemsFDTD).
 	if stats.EffectiveK != 1 {

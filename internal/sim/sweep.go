@@ -4,23 +4,12 @@ import (
 	"context"
 	"runtime"
 	"sync"
-
-	"phasetune/internal/exec"
 )
 
 // SweepOptions configures a concurrent sweep.
 type SweepOptions struct {
 	// Workers bounds the worker pool; <=0 uses GOMAXPROCS.
 	Workers int
-	// Cache, when set, is injected into every run that does not already
-	// carry one, so the whole sweep shares prepared images.
-	Cache *ImageCache
-	// Memo, when set, is injected into every run that does not already
-	// carry one, so the whole sweep shares memoized segment outcomes.
-	Memo *exec.SegmentMemo
-	// Events, when set, is injected into every run that does not already
-	// carry hooks.
-	Events Events
 	// OnDone, when set, fires after each run completes (from the worker's
 	// goroutine; index is the run's position in the input grid).
 	OnDone func(index int, res *Result, err error)
@@ -35,17 +24,7 @@ type SweepOptions struct {
 func Sweep(ctx context.Context, grid []RunConfig, opts SweepOptions) ([]*Result, error) {
 	results := make([]*Result, len(grid))
 	err := ForEach(ctx, len(grid), opts.Workers, func(i int) error {
-		cfg := grid[i]
-		if cfg.Cache == nil {
-			cfg.Cache = opts.Cache
-		}
-		if cfg.Memo == nil {
-			cfg.Memo = opts.Memo
-		}
-		if cfg.Events.OnImage == nil && cfg.Events.OnProgress == nil {
-			cfg.Events = opts.Events
-		}
-		res, err := RunContext(ctx, cfg)
+		res, err := RunContext(ctx, grid[i])
 		if opts.OnDone != nil {
 			opts.OnDone(i, res, err)
 		}

@@ -21,7 +21,7 @@
 //     metrics (throughput, max-flow, max-stretch, average process time),
 //     and one experiment driver per table and figure in the evaluation.
 //
-// The public API is organized around three layers:
+// The public API is organized around four layers:
 //
 //   - the staged static pipeline (Analyze -> Analysis.Instrument) producing
 //     cacheable Artifact values, with a content-keyed ImageCache so repeated
@@ -161,7 +161,15 @@ func DefaultTyping() TypingOptions { return phase.Options{K: 2, MinBlockInstrs: 
 // followed by Analysis.Instrument, with no caching. Repeated preparations
 // should go through a Session (or an ImageCache) instead.
 func Instrument(p *Program, params TechniqueParams, topts TypingOptions, cost CostModel) (*Image, ImageStats, error) {
-	return sim.PrepareImage(p, params, topts, 0, 1, cost)
+	a, err := Analyze(p, topts)
+	if err != nil {
+		return nil, ImageStats{}, err
+	}
+	art, err := a.Instrument(params, cost)
+	if err != nil {
+		return nil, ImageStats{}, err
+	}
+	return art.Image, art.Stats, nil
 }
 
 // Dynamic tuning.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 
+	"phasetune/internal/dist"
 	"phasetune/internal/exec"
 	"phasetune/internal/perfcnt"
 	"phasetune/internal/sim"
@@ -154,7 +155,7 @@ func WithOvercommit(oc OvercommitConfig) SessionOption {
 
 // WithTyping sets the static typing options (default: DefaultTyping).
 func WithTyping(t TypingOptions) SessionOption {
-	return func(s *Session) { s.typing = withTypingDefaults(t) }
+	return func(s *Session) { s.typing = t.Normalized() }
 }
 
 // WithTuning sets the default runtime tuning configuration (default:
@@ -297,9 +298,9 @@ type RunSpec struct {
 	// runs, keep it comfortably past ArrivalSpec.HorizonSec so admitted
 	// jobs can drain.
 	DurationSec float64
-	// Policy selects the placement policy (none/static/dynamic/oracle).
-	// PolicyDefault inherits the session policy; when the session has none
-	// either, the legacy Mode field decides.
+	// Policy selects the placement policy (none/static/dynamic/oracle/
+	// hybrid). PolicyDefault inherits the session policy; when the session
+	// has none either, the legacy Mode field decides.
 	Policy Policy
 	// Mode selects baseline/tuned/overhead (default Baseline). Ignored when
 	// this spec or the session resolves to an explicit Policy.
@@ -322,35 +323,62 @@ type RunSpec struct {
 	Seed uint64
 }
 
-// resolve lowers a spec's policy and per-run overrides onto concrete run
-// parameters: the spec's Policy wins, then an explicit legacy Mode, then
-// the session policy, then legacy Baseline.
-func (s *Session) resolve(spec RunSpec) (mode RunMode, params TechniqueParams, tcfg TuningConfig, ocfg OnlineConfig, pcfg PlacementConfig) {
-	tcfg = s.tuning
+// lower resolves a spec into its wire fields, the one place a RunSpec
+// becomes run parameters: the spec's Policy wins, then an explicit legacy
+// Mode, then the session policy, then legacy Baseline; nil overrides
+// inherit the session defaults; and the workload travels as construction
+// parameters. serializable reports whether the spec describes its
+// workload by Queues or Arrivals — false for a built Workload (which wins
+// over Queues) or no workload at all.
+func (s *Session) lower(spec RunSpec) (sp dist.Spec, serializable bool, err error) {
+	queues := spec.Queues
+	if spec.Arrivals != nil {
+		if spec.Workload != nil || queues != nil {
+			return dist.Spec{}, false, fmt.Errorf("phasetune: RunSpec.Arrivals is mutually exclusive with Workload and Queues")
+		}
+		queues = &WorkloadSpec{Seed: spec.Seed, Arrivals: spec.Arrivals}
+	}
+	sp = dist.Spec{
+		DurationSec: spec.DurationSec,
+		Mode:        spec.Mode,
+		Params:      spec.Params,
+		Tuning:      s.tuning,
+		Online:      s.online,
+		Placement:   s.placement,
+		TypingError: spec.TypingError,
+		Seed:        spec.Seed,
+	}
 	if spec.Tuning != nil {
-		tcfg = *spec.Tuning
+		sp.Tuning = *spec.Tuning
 	}
-	ocfg = s.online
 	if spec.Online != nil {
-		ocfg = *spec.Online
+		sp.Online = *spec.Online
 	}
-	pcfg = s.placement
 	if spec.Placement != nil {
-		pcfg = *spec.Placement
+		sp.Placement = *spec.Placement
 	}
-	mode = spec.Mode
 	policy := spec.Policy
-	if policy == PolicyDefault && mode == Baseline {
+	if policy == PolicyDefault && sp.Mode == Baseline {
 		policy = s.policy
 	}
-	params = spec.Params
 	if policy != PolicyDefault {
-		mode = policy.mode()
-		if params == (TechniqueParams{}) && (policy == PolicyStatic || policy == PolicyOracle || policy == PolicyHybrid) {
-			params = BestParams()
+		sp.Mode = policy.mode()
+		if sp.Params == (TechniqueParams{}) && (policy == PolicyStatic || policy == PolicyOracle || policy == PolicyHybrid) {
+			sp.Params = BestParams()
 		}
 	}
-	return mode, params, tcfg, ocfg, pcfg
+	serializable = spec.Workload == nil && queues != nil
+	if serializable {
+		sp.Queues = *queues
+	}
+	return sp, serializable, nil
+}
+
+// env is the session environment in wire form. Local runs lower through
+// it exactly as fabric workers do, so both build identical runs.
+func (s *Session) env() dist.EnvSpec {
+	return dist.EnvSpec{Version: dist.SpecVersion, Machine: *s.machine, Cost: s.cost,
+		Sched: s.sched, Typing: s.typing, Ledger: s.ledger}
 }
 
 // Suite returns the benchmark suite for the session's cost model and
@@ -363,63 +391,31 @@ func (s *Session) Suite() ([]*Benchmark, error) {
 	return s.suite, s.suiteErr
 }
 
-// runConfig lowers a spec onto the session environment.
+// runConfig lowers a spec onto the session environment, attaching the
+// session's process-local artifact cache, segment memo, events and tracer.
 func (s *Session) runConfig(spec RunSpec) (sim.RunConfig, error) {
-	mode, params, tcfg, ocfg, pcfg := s.resolve(spec)
-	w := spec.Workload
-	var stream *workload.Stream
-	queues := spec.Queues
-	if spec.Arrivals != nil {
-		if w != nil || queues != nil {
-			return sim.RunConfig{}, fmt.Errorf("phasetune: RunSpec.Arrivals is mutually exclusive with Workload and Queues")
-		}
-		queues = &WorkloadSpec{Seed: spec.Seed, Arrivals: spec.Arrivals}
+	sp, serializable, err := s.lower(spec)
+	if err != nil {
+		return sim.RunConfig{}, err
 	}
-	if w == nil && queues != nil && queues.Arrivals != nil {
-		var err error
-		stream, err = queues.MaterializeOpen(s.cost, s.machine)
-		if err != nil {
-			return sim.RunConfig{}, err
-		}
-	} else if w == nil && queues != nil {
-		// Alternation-axis specs (Queues.Alternations > 0) generate the
-		// synthetic alternator and never touch the suite.
-		var suite []*Benchmark
-		if queues.Alternations <= 0 {
-			var err error
-			suite, err = s.Suite()
-			if err != nil {
-				return sim.RunConfig{}, err
-			}
-		}
-		var err error
-		w, err = queues.Materialize(suite, s.cost, s.machine)
-		if err != nil {
+	// Only suite draws read the suite: open-system, alternation and fleet
+	// specs never trigger its generation.
+	var suite []*Benchmark
+	if serializable && sp.Queues.Arrivals == nil && sp.Queues.Alternations <= 0 && sp.Queues.Fleet == "" {
+		if suite, err = s.Suite(); err != nil {
 			return sim.RunConfig{}, err
 		}
 	}
-
-	cost := s.cost
-	sched := s.sched
-	return sim.RunConfig{
-		Machine: s.machine, Cost: &cost, Sched: &sched,
-		Workload:    w,
-		Stream:      stream,
-		DurationSec: spec.DurationSec,
-		Mode:        mode,
-		Params:      params,
-		Tuning:      tcfg,
-		Online:      ocfg,
-		Placement:   pcfg,
-		TypingOpts:  s.typing,
-		TypingError: spec.TypingError,
-		Seed:        spec.Seed,
-		Cache:       s.cache,
-		Memo:        s.memo,
-		Events:      s.events,
-		Trace:       s.tracer,
-		Ledger:      s.ledger,
-	}, nil
+	cfg, err := s.env().RunConfig(sp, suite, s.cache)
+	if err != nil {
+		return sim.RunConfig{}, err
+	}
+	if !serializable {
+		// A built Workload replaces the empty one the zero Queues lowered to.
+		cfg.Workload = spec.Workload
+	}
+	cfg.Memo, cfg.Events, cfg.Trace = s.memo, s.events, s.tracer
+	return cfg, nil
 }
 
 // RunContext executes one run with cancellation: the simulation polls ctx
