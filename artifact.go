@@ -27,15 +27,13 @@ type (
 	// CacheStats reports cache effectiveness (Misses counts static
 	// pipeline executions, Hits requests served without one).
 	CacheStats = sim.CacheStats
-	// SegmentMemo is a content-keyed, concurrency-safe cache of segment
-	// outcomes: runs of interpreter steps whose deltas replay in O(1).
-	// Memoization is invisible — a memoized run's Result is byte-identical
-	// to an unmemoized one (see DESIGN.md §13).
-	SegmentMemo = exec.SegmentMemo
-	// MemoStats reports segment-memo effectiveness (lookup hits/misses and
-	// interpreter steps replayed from cache versus stepped natively while
-	// recording).
-	MemoStats = exec.MemoStats
+	// MemoStats reports a session's shared block cost-table store (see
+	// DESIGN.md §13): Lanes counts the tables built, Hits and Misses count
+	// lane lookups that found a table or built one, and RecordedSteps
+	// counts the block prices computed while building. Chunks and
+	// ReplayedSteps are always 0; the names are those of the segment memo
+	// the tables replaced.
+	MemoStats = exec.TableStats
 )
 
 // Analyze runs the technique-independent front half of the static pipeline:
@@ -50,10 +48,6 @@ func Analyze(p *Program, topts TypingOptions) (*Analysis, error) {
 // WithCache to share prepared images across an experiment campaign.
 func NewImageCache() *ImageCache { return sim.NewImageCache() }
 
-// NewSegmentMemo returns an empty segment memo bounded to maxChunks cached
-// chunks (<=0 uses DefaultMemoChunks). Pass it to sessions with
-// WithSegmentMemo to share memoized segment outcomes across a campaign.
-func NewSegmentMemo(maxChunks int) *SegmentMemo { return exec.NewSegmentMemo(maxChunks) }
-
-// DefaultMemoChunks is the default segment-memo size bound.
-const DefaultMemoChunks = exec.DefaultMemoChunks
+// DefaultMemoChunks was the removed segment memo's size bound. It is kept
+// only so existing code still compiles; nothing reads it.
+const DefaultMemoChunks = 1 << 18

@@ -50,9 +50,10 @@
 // noise-rejection choice for wall-clock microbenchmarks). Every timing
 // benchmark additionally records its heap allocation count for the fastest
 // rep (metric allocs_per_op, the `-benchmem` analogue), and grid_sweep
-// records the session's segment-memo counters (memo_hits plus the derived
-// memo_hit_rate): with -reps >= 2 the later reps replay memoized segment
-// outcomes, so a zero warm hit rate is a memo regression.
+// records the session's block cost-table counters (memo_hits plus the
+// derived memo_hit_rate, lane lookups that found an existing table): with
+// -reps >= 2 the later reps price every step from tables the first rep
+// built, so a zero warm hit rate means the grid stopped sharing tables.
 //
 // The output file is a history (schema phasetune-bench-history/v1): each
 // invocation appends one timestamped entry. A pre-history file holding a
@@ -280,7 +281,7 @@ func runHistory(path string, regressionPct float64) error {
 	fmt.Print(t.String())
 
 	// Derived metrics and allocation counts of the newest entry: speedups,
-	// the segment-memo hit rate, and allocs/op per benchmark.
+	// the cost-table hit rate, and allocs/op per benchmark.
 	if len(last.Derived) > 0 {
 		keys := make([]string, 0, len(last.Derived))
 		for k := range last.Derived {
@@ -412,20 +413,20 @@ func run(out string, reps, shards int) error {
 		return err
 	}
 	stats := sess.CacheStats()
-	memo := sess.MemoStats()
+	tables := sess.MemoStats()
 	entry.Benchmarks = append(entry.Benchmarks, benchhist.Benchmark{
 		Name: "grid_sweep", NsPerOp: swp.Nanoseconds(), Reps: reps,
 		Metrics: map[string]float64{
 			"pipeline_runs": float64(stats.Misses),
 			"cache_hits":    float64(stats.Hits),
 			"allocs_per_op": float64(swpAllocs),
-			"memo_hits":     float64(memo.Hits),
+			"memo_hits":     float64(tables.Hits),
 		},
 	})
 	if swp > 0 {
 		entry.Derived["sweep_speedup"] = float64(seq) / float64(swp)
 	}
-	entry.Derived["memo_hit_rate"] = memo.HitRate()
+	entry.Derived["memo_hit_rate"] = tables.HitRate()
 
 	if shards > 1 {
 		shardSess := phasetune.NewSession()

@@ -161,8 +161,8 @@ type Spec struct {
 // self-contained. suite must be the environment's suite (EnvSpec.Suite or
 // an equal generation); only suite draws read it, so callers may pass nil
 // for alternation, fleet and arrivals specs, which regenerate their
-// workload from (cost, machine) instead. Process-local attachments (memo,
-// events, tracer) are the caller's to set.
+// workload from (cost, machine) instead. Process-local attachments (cost
+// tables, events, tracer) are the caller's to set.
 func (e EnvSpec) RunConfig(sp Spec, suite []*workload.Benchmark, cache *sim.ImageCache) (sim.RunConfig, error) {
 	m := e.Machine
 	cost := e.Cost

@@ -18,13 +18,13 @@ var errCrashed = errors.New("dist: worker crashed (test hook)")
 // Worker executes leases from a coordinator. It registers once, rebuilds
 // the session environment from the coordinator's EnvSpec (suite generation
 // included), and then loops: lease, run, commit. One artifact cache and one
-// segment memo live for the worker's whole lifetime, so each distinct
+// cost-table store live for the worker's whole lifetime, so each distinct
 // (benchmark, technique) image is prepared once per worker no matter how
-// many leases touch it, and segment outcomes recorded by one lease replay
-// in later ones — the warm-cache property that makes long campaigns cheap.
-// Both are strictly worker-local: memoization is invisible to results
-// (DESIGN.md §13), so sharded merges stay byte-identical without the memo
-// ever crossing the wire.
+// many leases touch it, and block cost tables built for one lease price
+// later ones — the warm-cache property that makes long campaigns cheap.
+// Both are strictly worker-local: neither changes a result (DESIGN.md
+// §13), so sharded merges stay byte-identical without either ever
+// crossing the wire.
 type Worker struct {
 	// Name labels the worker at registration (shows up in worker IDs).
 	Name string
@@ -57,7 +57,7 @@ func (w *Worker) Run(ctx context.Context) error {
 		return fmt.Errorf("dist: rebuild suite: %w", err)
 	}
 	cache := sim.NewImageCache()
-	memo := exec.NewSegmentMemo(0)
+	tables := exec.NewCostTables()
 
 	// Heartbeat at a third of the lease TTL for as long as the worker
 	// lives, so healthy-but-slow runs never lose their lease.
@@ -89,7 +89,7 @@ func (w *Worker) Run(ctx context.Context) error {
 			if len(lr.Specs) != len(lr.Indices) {
 				return fmt.Errorf("dist: lease %s: %d specs for %d indices", lr.LeaseID, len(lr.Specs), len(lr.Indices))
 			}
-			if err := w.runLease(ctx, reg, suite, cache, memo, lr, &runs); err != nil {
+			if err := w.runLease(ctx, reg, suite, cache, tables, lr, &runs); err != nil {
 				return err
 			}
 		default:
@@ -100,11 +100,11 @@ func (w *Worker) Run(ctx context.Context) error {
 
 // runLease executes and commits one lease's specs in order.
 func (w *Worker) runLease(ctx context.Context, reg *RegisterReply, suite []*workload.Benchmark,
-	cache *sim.ImageCache, memo *exec.SegmentMemo, lr *LeaseReply, runs *int) error {
+	cache *sim.ImageCache, tables *exec.CostTables, lr *LeaseReply, runs *int) error {
 
 	for k, idx := range lr.Indices {
 		cfg, rerr := reg.Env.RunConfig(lr.Specs[k], suite, cache)
-		cfg.Memo = memo
+		cfg.Tables = tables
 		var res *sim.Result
 		if rerr == nil {
 			res, rerr = sim.RunContext(ctx, cfg)

@@ -78,10 +78,6 @@ type Process struct {
 	// loopCounts holds per-block counted-branch progress, allocated lazily
 	// per procedure.
 	loopCounts [][]int32
-	// memo, when non-nil, holds segment-memoization state: incremental
-	// hashes over the interpreter state and the active chunk recorder.
-	// Enabled by the kernel at spawn when a run carries a SegmentMemo.
-	memo *memoState
 
 	// MarksExecuted counts dynamic phase-mark executions (diagnostics and
 	// the time-overhead experiment).
@@ -116,12 +112,12 @@ func (p *Process) SetSpilled(s bool) {
 }
 
 // bodyCycles prices one execution of a block's body on a core with the
-// given cache share. It is the single source of truth for block cost: the
-// plain interpreter calls it per step and the segment memo's per-lane cost
-// tables are built from it, so memoized and unmemoized runs price every
-// block identically by construction. Products feeding additions are
-// explicitly converted so the compiler cannot contract them into FMAs —
-// the cross-architecture half of the determinism contract (DESIGN.md §13).
+// given cache share. It is the single source of truth for block cost: Step
+// calls it per step and the kernel's per-lane cost tables are built from
+// it, so table-priced and Step-priced runs charge every block identically
+// by construction. Products feeding additions are explicitly converted so
+// the compiler cannot contract them into FMAs — the cross-architecture
+// half of the determinism contract (DESIGN.md §13).
 func bodyCycles(info *blockInfo, core *CoreParams, syscallCycles, shareKB float64) int64 {
 	cycles := info.baseCycles
 	if info.l1MissRefs > 0 {
@@ -141,8 +137,8 @@ func bodyCycles(info *blockInfo, core *CoreParams, syscallCycles, shareKB float6
 // bodyIdealPs prices the block's fastest-clock counterfactual for the cycle
 // ledger: the DRAM portion is wall-clock fixed (MemCycles ∝ frequency,
 // PsPerCycle ∝ 1/frequency), so only the compute portion is repriced at the
-// fastest clock. Truncated to integer picoseconds per block so any grouping
-// of steps sums to the same total (the memo's identity contract).
+// fastest clock. Truncated to integer picoseconds per block, so a table
+// entry and Step's per-step price are the same integer.
 func bodyIdealPs(info *blockInfo, core *CoreParams, ic int64, shareKB float64, fastPs int64) int64 {
 	var memCycles float64
 	if info.l1MissRefs > 0 {
@@ -157,8 +153,7 @@ func bodyIdealPs(info *blockInfo, core *CoreParams, ic int64, shareKB float64, f
 }
 
 // execMarks runs the phase marks at the top of a block: counter and ledger
-// charges plus the tuning-runtime hook. Marks are observer boundaries — the
-// memo never records across them, so they always execute natively.
+// charges plus the tuning-runtime hook.
 func (p *Process) execMarks(info *blockInfo, core *CoreParams, coreID int, res *StepResult) {
 	for _, mid := range info.markIDs {
 		p.Counters.Add(uint64(p.cm.MarkInstrs), uint64(p.cm.MarkCycles))
@@ -206,8 +201,7 @@ func (p *Process) Step(core *CoreParams, coreID int, shareKB float64) StepResult
 	return res
 }
 
-// advanceControl moves the program counter past the current block,
-// maintaining the memo's incremental state hashes when enabled.
+// advanceControl moves the program counter past the current block.
 func (p *Process) advanceControl(info *blockInfo, res *StepResult) {
 	switch info.kind {
 	case termFall:
@@ -216,9 +210,7 @@ func (p *Process) advanceControl(info *blockInfo, res *StepResult) {
 		if info.tripCount > 0 {
 			// Counted loop: taken tripCount-1 consecutive times, then fall
 			// through once; the counter then resets for re-entry.
-			proc, blk := p.curProc, p.curBlock
 			c := p.loopCounter()
-			old := *c
 			*c++
 			if *c < info.tripCount {
 				p.curBlock = info.taken
@@ -226,18 +218,12 @@ func (p *Process) advanceControl(info *blockInfo, res *StepResult) {
 				*c = 0
 				p.curBlock = info.fall
 			}
-			if p.memo != nil {
-				p.memo.noteLoopWrite(proc, blk, old, *c)
-			}
 		} else if p.rand.Float64() < info.takenProb {
 			p.curBlock = info.taken
 		} else {
 			p.curBlock = info.fall
 		}
 	case termCall:
-		if p.memo != nil {
-			p.memo.stackHash ^= frameHash(len(p.stack), p.curProc, info.fall)
-		}
 		p.stack = append(p.stack, frame{proc: p.curProc, block: info.fall})
 		p.curProc = info.callee
 		p.curBlock = 0
@@ -252,28 +238,21 @@ func (p *Process) advanceControl(info *blockInfo, res *StepResult) {
 		}
 		top := p.stack[len(p.stack)-1]
 		p.stack = p.stack[:len(p.stack)-1]
-		if p.memo != nil {
-			p.memo.stackHash ^= frameHash(len(p.stack), top.proc, top.block)
-		}
 		p.curProc = top.proc
 		p.curBlock = top.block
 	}
 }
 
-// loopCounter returns the counted-branch counter cell for the current block.
+// loopCounter returns (allocating lazily) the counted-branch counter cell
+// for the current block.
 func (p *Process) loopCounter() *int32 {
-	return p.loopCell(p.curProc, p.curBlock)
-}
-
-// loopCell returns (allocating lazily) the loop-counter cell for a block.
-func (p *Process) loopCell(proc, block int32) *int32 {
 	if p.loopCounts == nil {
 		p.loopCounts = make([][]int32, len(p.Img.blocks))
 	}
-	if p.loopCounts[proc] == nil {
-		p.loopCounts[proc] = make([]int32, len(p.Img.blocks[proc]))
+	if p.loopCounts[p.curProc] == nil {
+		p.loopCounts[p.curProc] = make([]int32, len(p.Img.blocks[p.curProc]))
 	}
-	return &p.loopCounts[proc][block]
+	return &p.loopCounts[p.curProc][p.curBlock]
 }
 
 // RunIsolated executes the process to completion on a single core with a

@@ -211,7 +211,8 @@ func TestContentionSpecWireCompat(t *testing.T) {
 // TestContentionShardedMergeByteIdentical pins the fabric contract for the
 // v6 fields: a contention-priced campaign cell — antagonist fleet, cache
 // stats, priced placement — merges byte-identically whether it runs
-// sequentially, sharded across local workers, or under the segment memo.
+// sequentially, sharded across local workers, or on a shared cost-table
+// store.
 func TestContentionShardedMergeByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("duplicate sweep")
@@ -265,14 +266,14 @@ func TestContentionShardedMergeByteIdentical(t *testing.T) {
 		}
 	}
 
-	// Memoized execution must be invisible to the priced path too.
-	memo := exec.NewSegmentMemo(0)
+	// A shared cost-table store must be invisible to the priced path too.
+	tables := exec.NewCostTables()
 	for i, sp := range grid {
 		rc, err := camp.Env.RunConfig(sp, cfg.Suite, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rc.Memo = memo
+		rc.Tables = tables
 		res, err := sim.Run(rc)
 		if err != nil {
 			t.Fatal(err)
@@ -282,7 +283,7 @@ func TestContentionShardedMergeByteIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(seq[i], blob) {
-			t.Errorf("spec %d: memoized result bytes differ from plain", i)
+			t.Errorf("spec %d: shared-table result bytes differ from private-table run", i)
 		}
 	}
 }

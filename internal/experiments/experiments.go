@@ -63,11 +63,11 @@ type Config struct {
 	// Cache is the shared artifact cache; every driver's image
 	// preparations go through it.
 	Cache *sim.ImageCache
-	// Memo is the shared segment memo: repeated segment executions across
-	// a campaign's policy columns and seeds replay in O(1). Invisible to
-	// results, so memoized campaigns reproduce unmemoized ones byte for
-	// byte. Sharded sweeps ignore it (workers attach their own).
-	Memo *exec.SegmentMemo
+	// Tables is the shared block cost-table store: a campaign's policy
+	// columns and seeds price each (image, core type, cache share) from
+	// one table built once. Sharing never changes a result. Sharded sweeps
+	// ignore it (workers attach their own).
+	Tables *exec.CostTables
 	// Ledger enables conserved cycle accounting on every run of every
 	// driver (sim.RunConfig.Ledger via the environment wire form). The
 	// showdown and serving drivers then fill their attribution columns.
@@ -94,7 +94,7 @@ func Default() (Config, error) {
 		Typing:      phase.Options{K: 2, MinBlockInstrs: 5},
 		Tuning:      tuning.DefaultConfig(),
 		Cache:       sim.NewImageCache(),
-		Memo:        exec.NewSegmentMemo(0),
+		Tables:      exec.NewCostTables(),
 	}, nil
 }
 
@@ -107,12 +107,12 @@ func (c *Config) cache() *sim.ImageCache {
 	return c.Cache
 }
 
-// memo returns the campaign segment memo, building one on first use.
-func (c *Config) memo() *exec.SegmentMemo {
-	if c.Memo == nil {
-		c.Memo = exec.NewSegmentMemo(0)
+// tables returns the campaign cost-table store, building one on first use.
+func (c *Config) tables() *exec.CostTables {
+	if c.Tables == nil {
+		c.Tables = exec.NewCostTables()
 	}
-	return c.Memo
+	return c.Tables
 }
 
 // artifact fetches one benchmark's prepared image through the shared cache.
@@ -150,14 +150,14 @@ func (c *Config) sweep(grid []dist.Spec) ([]*sim.Result, error) {
 		return dist.RunLocal(context.Background(), dist.Campaign{Env: c.Env(), Specs: grid},
 			dist.LocalOptions{Workers: c.Shards})
 	}
-	env, cache, memo := c.Env(), c.cache(), c.memo()
+	env, cache, tables := c.Env(), c.cache(), c.tables()
 	cfgs := make([]sim.RunConfig, len(grid))
 	for i := range grid {
 		cfg, err := env.RunConfig(grid[i], c.Suite, cache)
 		if err != nil {
 			return nil, err
 		}
-		cfg.Memo = memo
+		cfg.Tables = tables
 		cfgs[i] = cfg
 	}
 	return sim.Sweep(context.Background(), cfgs, sim.SweepOptions{Workers: c.Workers})

@@ -240,11 +240,9 @@ type Segment struct {
 	ActualPs int64
 	// IdealPs estimates the same work's cost at the fastest clock with
 	// unchanged memory-stall time. Integer picoseconds, truncated per block
-	// by the interpreter: per-block truncation makes the accumulated value
-	// independent of how a run of steps is grouped, which the segment memo
-	// depends on (replaying a cached chunk adds one precomputed sum). It is
-	// clamped into [0, ActualPs] at charge time, so conservation never
-	// depends on it.
+	// by the interpreter, so a cost-table entry and Step's per-step price
+	// agree exactly. It is clamped into [0, ActualPs] at charge time, so
+	// conservation never depends on it.
 	IdealPs int64
 	// MarkPs is phase-mark payload time.
 	MarkPs int64

@@ -313,12 +313,10 @@ type Kernel struct {
 	// bit-identical to an unledgered one. Spawn attaches a step-attribution
 	// accumulator (ledger.Work) to each process it admits.
 	Ledger *ledger.Collector
-	// Memo, when set, caches segment outcomes so repeated executions replay
-	// in O(1) (exec.SegmentMemo). It must be set before the first Spawn.
-	// Memoization is invisible to every observer — marks, monitor windows,
-	// ledger charges, traces — so a memoized run is byte-identical to an
-	// unmemoized one; the memo may be shared across concurrent kernels.
-	Memo *exec.SegmentMemo
+	// Tables is the block cost-table store every step is priced from
+	// (exec.CostTables). It may be shared across concurrent kernels; a
+	// kernel given none builds a private one at its first dispatch.
+	Tables *exec.CostTables
 
 	params  []exec.CoreParams
 	fastPs  int64
@@ -366,7 +364,7 @@ func NewKernel(m *amp.Machine, cost exec.CostModel, cfg Config) (*Kernel, error)
 		k.typeCores[c.Type]++
 	}
 	// Fastest clock: prices the ledger's useful-work counterfactual and
-	// keys memo lanes (ledgered and unledgered runs must share lanes).
+	// keys cost-table lanes (ledgered and unledgered runs share lanes).
 	k.fastPs = k.params[0].PsPerCycle
 	for _, p := range k.params[1:] {
 		if p.PsPerCycle < k.fastPs {
@@ -481,11 +479,6 @@ func (k *Kernel) Spawn(p *exec.Process, name string, slot int, affinity uint64) 
 		if p.Work == nil {
 			p.Work = k.Ledger.Work()
 		}
-	}
-	if k.Memo != nil {
-		// Arm before the first step: the memo's incremental state hashes
-		// must cover the process's whole execution.
-		p.EnableMemo()
 	}
 	k.live++
 	if k.live > k.peakLive {
@@ -805,27 +798,17 @@ func (k *Kernel) dispatch(core int) {
 	k.Cache.Attach(cs.l2)
 	// The effective share is constant for the whole burst: Attach/Detach
 	// bracket the loop and no other handler runs in between, so hoisting
-	// the lookup out of the step loop is exact — and it is what lets the
-	// memo key a lane on the share.
-	share := k.Cache.ShareKB(cs.l2)
-	var lane *exec.Lane
-	if k.Memo != nil {
-		lane = k.Memo.LaneFor(t.Proc, par, share, k.fastPs)
+	// the lookup out of the step loop is exact — and it is what lets one
+	// cost-table lane price the whole burst.
+	if k.Tables == nil {
+		k.Tables = exec.NewCostTables()
 	}
+	lane := k.Tables.LaneFor(t.Proc, par, k.Cache.ShareKB(cs.l2), k.fastPs)
 
 	exited := false
 	migrate := false
 	for used < sliceCycles {
-		var res exec.StepResult
-		if lane != nil {
-			if adv := t.Proc.Advance(lane, sliceCycles-used); adv > 0 {
-				used += adv
-				continue
-			}
-			res = t.Proc.StepLane(lane, core)
-		} else {
-			res = t.Proc.Step(par, core, share)
-		}
+		res := t.Proc.StepLane(lane, core)
 		used += res.Cycles
 		if res.Exited {
 			exited = true
@@ -839,8 +822,6 @@ func (k *Kernel) dispatch(core int) {
 			}
 		}
 	}
-	// A slice boundary is observer-visible: close any open recording.
-	t.Proc.EndSlice()
 
 	k.Cache.Detach(cs.l2)
 	k.totalInstr += t.Proc.Counters.Instructions - instrBefore

@@ -17,10 +17,13 @@ import (
 	"phasetune/internal/workload"
 )
 
-// The segment memo's contract is invisibility: a memoized run's Result is
-// byte-identical to an unmemoized one, cold cache or warm, across every
-// policy, machine, and system mode. These tests pin that contract the same
-// way the dist wire format does — by canonical JSON bytes.
+// The shared cost-table store's contract is invisibility: a run priced from
+// a store shared with other runs has a Result byte-identical to one priced
+// from private tables (RunConfig.Tables nil), cold store or warm, across
+// every policy, machine, and system mode. These tests pin that contract the
+// same way the dist wire format does — by canonical JSON bytes. (The test
+// names predate the segment memo's removal; the public MemoStats and
+// WithoutSegmentMemo names report and switch the same store.)
 
 var memoModes = []Mode{Baseline, Tuned, Dynamic, Oracle, Hybrid}
 
@@ -80,9 +83,9 @@ func resultBytes(t testing.TB, res *Result) []byte {
 	return blob
 }
 
-func runBytes(t testing.TB, cfg RunConfig, memo *exec.SegmentMemo) []byte {
+func runBytes(t testing.TB, cfg RunConfig, tables *exec.CostTables) []byte {
 	t.Helper()
-	cfg.Memo = memo
+	cfg.Tables = tables
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -90,11 +93,11 @@ func runBytes(t testing.TB, cfg RunConfig, memo *exec.SegmentMemo) []byte {
 	return resultBytes(t, res)
 }
 
-// TestMemoGoldenIdentity is the tentpole guarantee: across all five
-// policies, three machines, and closed/open system modes, a memoized run —
-// cold cache and warm — produces a Result byte-identical to an unmemoized
-// run. Ledger accounting is on everywhere so conserved cycle attribution
-// is part of the pinned bytes.
+// TestMemoGoldenIdentity is the identity guarantee: across all five
+// policies, three machines, and closed/open system modes, a run on a shared
+// store — cold and warm — produces a Result byte-identical to a run on
+// private tables, and the warm rerun builds no table. Ledger accounting is
+// on everywhere so conserved cycle attribution is part of the pinned bytes.
 func TestMemoGoldenIdentity(t *testing.T) {
 	cache := NewImageCache()
 	for mname, machine := range memoMachines() {
@@ -110,19 +113,20 @@ func TestMemoGoldenIdentity(t *testing.T) {
 					cfg.Cache = cache
 
 					plain := runBytes(t, cfg, nil)
-					memo := exec.NewSegmentMemo(0)
-					cold := runBytes(t, cfg, memo)
-					warm := runBytes(t, cfg, memo)
+					tables := exec.NewCostTables()
+					cold := runBytes(t, cfg, tables)
+					coldStats := tables.Stats()
+					warm := runBytes(t, cfg, tables)
 
 					if !bytes.Equal(plain, cold) {
-						t.Errorf("cold memoized result diverged from unmemoized run")
+						t.Errorf("cold shared-table result diverged from private-table run")
 					}
 					if !bytes.Equal(plain, warm) {
-						t.Errorf("warm memoized result diverged from unmemoized run")
+						t.Errorf("warm shared-table result diverged from private-table run")
 					}
-					stats := memo.Stats()
-					if stats.Hits == 0 {
-						t.Errorf("warm rerun never hit the memo: %+v", stats)
+					stats := tables.Stats()
+					if stats.Hits <= coldStats.Hits || stats.Lanes != coldStats.Lanes {
+						t.Errorf("warm rerun did not reuse the cold run's tables: cold %+v, warm %+v", coldStats, stats)
 					}
 				})
 			}
@@ -131,9 +135,10 @@ func TestMemoGoldenIdentity(t *testing.T) {
 }
 
 // TestMemoPropertyRandomConfigs drives random (policy, machine, arrivals,
-// ledger, trace) combinations through memoized and unmemoized execution
-// and requires byte-identical results — and, when tracing, byte-identical
-// trace files, since memoization must be invisible to observers too.
+// ledger, trace) combinations through shared-store and private-table
+// execution and requires byte-identical results — and, when tracing,
+// byte-identical trace files, since the store must be invisible to
+// observers too.
 func TestMemoPropertyRandomConfigs(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	machines := []*amp.Machine{
@@ -142,6 +147,8 @@ func TestMemoPropertyRandomConfigs(t *testing.T) {
 		amp.Hex2Big2Medium2Little(),
 	}
 	cache := NewImageCache()
+	// One store across every trial, as a session shares it across a sweep.
+	tables := exec.NewCostTables()
 	traceJSON := func(tr *trace.Tracer) []byte {
 		var buf bytes.Buffer
 		if err := tr.WriteJSON(&buf); err != nil {
@@ -163,74 +170,79 @@ func TestMemoPropertyRandomConfigs(t *testing.T) {
 			cfg.Cache = cache
 			cfg.DurationSec = 1 + rng.Float64()
 
-			var plainTrace, memoTrace *trace.Tracer
+			var plainTrace, sharedTrace *trace.Tracer
 			if traced {
-				plainTrace, memoTrace = trace.New(), trace.New()
+				plainTrace, sharedTrace = trace.New(), trace.New()
 			}
 
 			plainCfg := cfg
 			plainCfg.Trace = plainTrace
 			plain := runBytes(t, plainCfg, nil)
 
-			memoCfg := cfg
-			memoCfg.Trace = memoTrace
-			memo := exec.NewSegmentMemo(0)
-			cold := runBytes(t, memoCfg, memo)
+			sharedCfg := cfg
+			sharedCfg.Trace = sharedTrace
+			shared := runBytes(t, sharedCfg, tables)
 
-			if !bytes.Equal(plain, cold) {
-				t.Errorf("memoized result diverged from unmemoized run")
+			if !bytes.Equal(plain, shared) {
+				t.Errorf("shared-table result diverged from private-table run")
 			}
-			if traced && !bytes.Equal(traceJSON(plainTrace), traceJSON(memoTrace)) {
-				t.Errorf("memoized trace diverged from unmemoized trace")
+			if traced && !bytes.Equal(traceJSON(plainTrace), traceJSON(sharedTrace)) {
+				t.Errorf("shared-table trace diverged from private-table trace")
 			}
 		})
 	}
 }
 
-// TestMemoCacheReuse mirrors the image-cache tests: a cold memo records
-// without hitting, an identical rerun replays from cache, and distinct
-// specs neither collide nor leak each other's outcomes.
+// TestMemoCacheReuse mirrors the image-cache tests: a cold store builds
+// every table it uses, an identical rerun builds none, and a distinct spec
+// drawing the same images prices from the tables already built without
+// leaking anything but prices across specs.
 func TestMemoCacheReuse(t *testing.T) {
 	cfg := memoConfig(t, amp.Quad2Fast2Slow(), Tuned, false, 5)
-	// Memo lanes key on artifact identity, so cross-run reuse requires the
-	// runs to draw their images from one shared cache (sessions, sweeps,
-	// and dist workers all do).
+	// Lanes key on artifact identity, so cross-run reuse requires the runs
+	// to draw their images from one shared cache (sessions, sweeps, and
+	// dist workers all do).
 	cfg.Cache = NewImageCache()
-	memo := exec.NewSegmentMemo(0)
+	tables := exec.NewCostTables()
 
-	cold := runBytes(t, cfg, memo)
-	stats := memo.Stats()
-	if stats.Hits != 0 {
-		t.Errorf("cold run reported %d hits, want 0", stats.Hits)
-	}
-	if stats.Misses == 0 || stats.RecordedSteps == 0 {
-		t.Errorf("cold run recorded nothing: %+v", stats)
+	cold := runBytes(t, cfg, tables)
+	stats := tables.Stats()
+	if stats.Lanes == 0 || stats.Misses != uint64(stats.Lanes) || stats.RecordedSteps == 0 {
+		t.Errorf("cold run built no tables: %+v", stats)
 	}
 
-	warm := runBytes(t, cfg, memo)
-	wstats := memo.Stats()
-	if wstats.Hits == 0 || wstats.ReplayedSteps == 0 {
-		t.Errorf("warm rerun replayed nothing: %+v", wstats)
+	warm := runBytes(t, cfg, tables)
+	wstats := tables.Stats()
+	if wstats.Lanes != stats.Lanes || wstats.Misses != stats.Misses || wstats.Hits <= stats.Hits {
+		t.Errorf("warm rerun rebuilt tables: cold %+v, warm %+v", stats, wstats)
 	}
 	if !bytes.Equal(cold, warm) {
 		t.Error("warm rerun diverged from cold run")
 	}
 
-	// A different spec sharing the memo must produce its own result — the
-	// cache may only serve outcomes keyed to identical execution state.
-	other := memoConfig(t, amp.Quad2Fast2Slow(), Tuned, false, 6)
-	otherMemoized := runBytes(t, other, memo)
-	otherPlain := runBytes(t, other, nil)
-	if !bytes.Equal(otherMemoized, otherPlain) {
+	// A different spec — same job queues, different process seeds — sharing
+	// the store must produce its own result and reuse the lanes its images
+	// share with the first spec: it builds fewer tables than the same run
+	// on a store of its own.
+	other := cfg
+	other.Seed = 6
+	own := exec.NewCostTables()
+	otherPlain := runBytes(t, other, own)
+	otherShared := runBytes(t, other, tables)
+	if !bytes.Equal(otherShared, otherPlain) {
 		t.Error("cross-spec reuse perturbed the result")
 	}
-	if bytes.Equal(otherMemoized, cold) {
-		t.Error("distinct seeds produced identical results; memo leaked outcomes across specs")
+	if bytes.Equal(otherShared, cold) {
+		t.Error("distinct seeds produced identical results")
+	}
+	built := tables.Stats().Lanes - wstats.Lanes
+	if built >= own.Stats().Lanes {
+		t.Errorf("second spec built %d tables on the shared store, %d on its own: no lane reused", built, own.Stats().Lanes)
 	}
 }
 
-// TestMemoSweepShared runs a grid through Sweep with one shared memo and
-// requires the results to match a memo-free sequential sweep — the
+// TestMemoSweepShared runs a grid through Sweep with one shared store and
+// requires the results to match a private-table sequential sweep — the
 // concurrent, shared-cache configuration the experiment campaign uses.
 func TestMemoSweepShared(t *testing.T) {
 	var grid []RunConfig
@@ -249,11 +261,11 @@ func TestMemoSweepShared(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	memo := exec.NewSegmentMemo(0)
+	tables := exec.NewCostTables()
 	for i := range grid {
-		grid[i].Memo = memo
+		grid[i].Tables = tables
 	}
-	memoized, err := Sweep(ctx, grid, SweepOptions{Workers: 4})
+	shared, err := Sweep(ctx, grid, SweepOptions{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,11 +275,11 @@ func TestMemoSweepShared(t *testing.T) {
 	}
 	for i := range grid {
 		want := resultBytes(t, plain[i])
-		if got := resultBytes(t, memoized[i]); !bytes.Equal(want, got) {
-			t.Errorf("grid[%d]: concurrent memoized sweep diverged from sequential memo-free sweep", i)
+		if got := resultBytes(t, shared[i]); !bytes.Equal(want, got) {
+			t.Errorf("grid[%d]: concurrent shared-table sweep diverged from sequential private-table sweep", i)
 		}
 		if got := resultBytes(t, rerun[i]); !bytes.Equal(want, got) {
-			t.Errorf("grid[%d]: warm memoized sweep diverged", i)
+			t.Errorf("grid[%d]: warm shared-table sweep diverged", i)
 		}
 	}
 }

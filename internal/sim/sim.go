@@ -118,12 +118,11 @@ type RunConfig struct {
 	// Cache, when set, serves prepared images from the shared artifact
 	// cache instead of re-running the static pipeline per run.
 	Cache *ImageCache
-	// Memo, when set, caches segment outcomes across runs so repeated
-	// executions replay in O(1) (exec.SegmentMemo). Memoization is
-	// invisible: a memoized run's Result is byte-identical to an
-	// unmemoized one. Like Trace it is process-local and never crosses
-	// the dist wire — workers attach their own memo.
-	Memo *exec.SegmentMemo
+	// Tables, when set, is the block cost-table store shared across runs
+	// (exec.CostTables); nil gives the run a private one. Sharing never
+	// changes a result. Like Trace it is process-local and never crosses
+	// the dist wire — workers attach their own store.
+	Tables *exec.CostTables
 	// Events, when set, receives per-run progress callbacks.
 	Events Events
 	// Trace, when set, records the run's event timeline (scheduler bursts,
@@ -422,7 +421,7 @@ func RunWithHookContext(ctx context.Context, cfg RunConfig, factory HookFactory)
 		}
 	}
 
-	kernel.Memo = cfg.Memo
+	kernel.Tables = cfg.Tables
 	var col *ledger.Collector
 	if cfg.Ledger {
 		// Useful work is priced at the machine's fastest clock (smallest

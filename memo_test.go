@@ -7,10 +7,10 @@ import (
 	"phasetune"
 )
 
-// TestSessionMemoInvisibleAndWarm pins the public memo contract: sessions
-// memoize by default, results are byte-identical with the memo off, warm
-// reruns replay from cache, and a memo shared across sessions (with the
-// image cache that anchors its lanes) carries its outcomes over.
+// TestSessionMemoInvisibleAndWarm pins the public cost-table contract:
+// sessions share one block cost-table store by default, results are
+// byte-identical with private per-run tables (WithoutSegmentMemo), and a
+// warm rerun prices every step from tables the cold sweep built.
 func TestSessionMemoInvisibleAndWarm(t *testing.T) {
 	suite, err := phasetune.Suite()
 	if err != nil {
@@ -20,21 +20,22 @@ func TestSessionMemoInvisibleAndWarm(t *testing.T) {
 	ctx := context.Background()
 
 	bare := phasetune.NewSession(phasetune.WithoutSegmentMemo(), phasetune.WithWorkers(2))
-	if bare.Memo() != nil {
-		t.Fatal("WithoutSegmentMemo left a memo attached")
-	}
 	want, err := bare.Sweep(ctx, specs)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if stats := bare.MemoStats(); stats != (phasetune.MemoStats{}) {
+		t.Errorf("WithoutSegmentMemo session reports a shared store: %+v", stats)
+	}
 
 	sess := phasetune.NewSession(phasetune.WithWorkers(2))
-	if sess.Memo() == nil {
-		t.Fatal("default session carries no memo")
-	}
 	cold, err := sess.Sweep(ctx, specs)
 	if err != nil {
 		t.Fatal(err)
+	}
+	coldStats := sess.MemoStats()
+	if coldStats.Lanes == 0 || coldStats.Misses != uint64(coldStats.Lanes) || coldStats.RecordedSteps == 0 {
+		t.Errorf("cold sweep built no tables: %+v", coldStats)
 	}
 	warm, err := sess.Sweep(ctx, specs)
 	if err != nil {
@@ -43,38 +44,20 @@ func TestSessionMemoInvisibleAndWarm(t *testing.T) {
 	for i := range specs {
 		ref := encode(t, want[i])
 		if got := encode(t, cold[i]); string(got) != string(ref) {
-			t.Errorf("spec %d: cold memoized result differs from memo-off run", i)
+			t.Errorf("spec %d: cold shared-table result differs from private-table run", i)
 		}
 		if got := encode(t, warm[i]); string(got) != string(ref) {
-			t.Errorf("spec %d: warm memoized result differs from memo-off run", i)
+			t.Errorf("spec %d: warm shared-table result differs from private-table run", i)
 		}
 	}
 	stats := sess.MemoStats()
-	if stats.Hits == 0 || stats.ReplayedSteps == 0 {
-		t.Errorf("warm sweep never replayed: %+v", stats)
+	if stats.Lanes != coldStats.Lanes || stats.Misses != coldStats.Misses {
+		t.Errorf("warm sweep built new tables: cold %+v, warm %+v", coldStats, stats)
 	}
-	if stats.HitRate() <= 0 {
-		t.Errorf("hit rate = %v, want > 0", stats.HitRate())
+	if stats.Hits <= coldStats.Hits || stats.HitRate() <= coldStats.HitRate() {
+		t.Errorf("warm sweep reused no tables: cold %+v, warm %+v", coldStats, stats)
 	}
-
-	// A session adopting the first session's memo and image cache starts
-	// warm: its first sweep replays outcomes recorded by the other session.
-	adopted := phasetune.NewSession(
-		phasetune.WithSegmentMemo(sess.Memo()),
-		phasetune.WithCache(sess.Cache()),
-		phasetune.WithWorkers(2),
-	)
-	before := sess.Memo().Stats().Hits
-	again, err := adopted.Sweep(ctx, specs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range specs {
-		if got := encode(t, again[i]); string(got) != string(encode(t, want[i])) {
-			t.Errorf("spec %d: adopted-memo result differs", i)
-		}
-	}
-	if after := adopted.MemoStats().Hits; after <= before {
-		t.Errorf("adopted memo gained no hits (%d -> %d)", before, after)
+	if stats.Chunks != 0 || stats.ReplayedSteps != 0 {
+		t.Errorf("table store reports replay: %+v", stats)
 	}
 }

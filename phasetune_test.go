@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"phasetune"
+	"phasetune/internal/exec"
+	"phasetune/internal/perfcnt"
 )
 
 // TestPublicPipeline exercises the full public API end to end: build a
@@ -99,5 +101,45 @@ func TestDefaultExperimentsConfig(t *testing.T) {
 	}
 	if len(cfg.Suite) != 15 {
 		t.Errorf("suite size %d", len(cfg.Suite))
+	}
+}
+
+// TestMeasureIPCUsesOwnL2 pins that MeasureIPC prices each core type
+// against its own L2 group: on ThreeCoreAMP the slow core sits behind a
+// 2048 KB L2, not the fast pair's 4096 KB one, so a load-heavy program's
+// slow-type IPC must equal an isolated run at 2048 KB.
+func TestMeasureIPCUsesOwnL2(t *testing.T) {
+	b := phasetune.NewProgram("l2-bound")
+	b.Proc("main").Loop(400, func(pb *phasetune.ProcBuilder) {
+		pb.Straight(phasetune.BlockMix{Load: 16, Store: 4, IntALU: 4, WorkingSetKB: 3072, Locality: 0.5})
+	}).Ret()
+	p, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	machine := phasetune.ThreeCoreAMP()
+	sess := phasetune.NewSession(phasetune.WithMachine(machine))
+	const seed = 9
+	ipcs, err := sess.MeasureIPC(p, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	art, err := sess.Cache().Get(p, phasetune.ImageSpec{Baseline: true}, phasetune.DefaultCost())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cost := phasetune.DefaultCost()
+	pars := exec.ParamsFor(cost, machine)
+	isolated := func(shareKB float64) float64 {
+		proc := exec.NewProcess(1, art.Image, &cost, seed, nil)
+		proc.RunIsolated(&pars[1], machine.CoresOfType(pars[1].Type)[0], shareKB, 0)
+		return perfcnt.IPC(proc.Counters.Instructions, proc.Counters.Cycles)
+	}
+	want, shared := isolated(2048), isolated(4096)
+	if want == shared {
+		t.Fatalf("program does not tell 2048 KB from 4096 KB (IPC %v both)", want)
+	}
+	if ipcs[1] != want {
+		t.Errorf("slow-type IPC %v, want %v (own 2048 KB L2; %v is the fast pair's 4096 KB)", ipcs[1], want, shared)
 	}
 }

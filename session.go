@@ -111,9 +111,7 @@ type Session struct {
 	placement PlacementConfig
 	policy    Policy
 	cache     *ImageCache
-	memo      *SegmentMemo
-	memoOff   bool
-	memoSize  int
+	tables    *exec.CostTables // nil: each run builds private tables
 	workers   int
 	events    Events
 	tracer    *Tracer
@@ -183,24 +181,12 @@ func WithPlacement(c PlacementConfig) SessionOption { return func(s *Session) { 
 // machines — images depend only on program content and the cost model.
 func WithCache(c *ImageCache) SessionOption { return func(s *Session) { s.cache = c } }
 
-// WithSegmentMemo shares an existing segment memo (default: a fresh memo
-// per session). Pass the same memo to several sessions so campaigns over
-// the same images replay each other's segment outcomes; the memo is safe
-// for concurrent use and invisible to results.
-func WithSegmentMemo(m *SegmentMemo) SessionOption { return func(s *Session) { s.memo = m } }
-
-// WithSegmentMemoSize bounds the session's segment memo to maxChunks
-// cached chunks (default DefaultMemoChunks). When full, the memo stops
-// recording but keeps serving hits. Ignored when WithSegmentMemo supplies
-// a memo built elsewhere.
-func WithSegmentMemoSize(maxChunks int) SessionOption {
-	return func(s *Session) { s.memoSize = maxChunks }
-}
-
-// WithoutSegmentMemo disables segment memoization for the session's runs.
-// Results are byte-identical either way — the switch exists for memory-
-// constrained environments and for A/B-testing the memo itself.
-func WithoutSegmentMemo() SessionOption { return func(s *Session) { s.memoOff = true } }
+// WithoutSegmentMemo gives each of the session's runs private block cost
+// tables instead of the session's shared store, so no table built by one
+// run prices another. Results are byte-identical either way; the switch
+// exists to A/B-test table sharing. The name predates the removal of the
+// segment memo, whose place the shared tables took.
+func WithoutSegmentMemo() SessionOption { return func(s *Session) { s.tables = nil } }
 
 // WithWorkers bounds the sweep worker pool (default: GOMAXPROCS).
 func WithWorkers(n int) SessionOption { return func(s *Session) { s.workers = n } }
@@ -245,16 +231,10 @@ func NewSession(opts ...SessionOption) *Session {
 		online:    DefaultOnline(),
 		placement: DefaultPlacement(),
 		cache:     NewImageCache(),
+		tables:    exec.NewCostTables(),
 	}
 	for _, opt := range opts {
 		opt(s)
-	}
-	if s.memoOff {
-		s.memo = nil
-	} else if s.memo == nil {
-		// Memoization is on by default: it is invisible to results and
-		// collapses the redundant re-execution inside campaign grids.
-		s.memo = exec.NewSegmentMemo(s.memoSize)
 	}
 	return s
 }
@@ -265,13 +245,10 @@ func (s *Session) Cache() *ImageCache { return s.cache }
 // CacheStats reports the session cache's hit/miss counters.
 func (s *Session) CacheStats() CacheStats { return s.cache.Stats() }
 
-// Memo returns the session's segment memo (nil when disabled), for stats
-// or sharing across sessions.
-func (s *Session) Memo() *SegmentMemo { return s.memo }
-
-// MemoStats reports the segment memo's lane/chunk counts and hit rates.
-// The zero value is returned when memoization is disabled.
-func (s *Session) MemoStats() MemoStats { return s.memo.Stats() }
+// MemoStats reports the session's shared cost-table store: tables built
+// and lane lookup hits (see MemoStats). The zero value is returned under
+// WithoutSegmentMemo.
+func (s *Session) MemoStats() MemoStats { return s.tables.Stats() }
 
 // RunSpec configures one run within a session. Zero values inherit the
 // session defaults; only what varies per run needs to be set.
@@ -392,7 +369,7 @@ func (s *Session) Suite() ([]*Benchmark, error) {
 }
 
 // runConfig lowers a spec onto the session environment, attaching the
-// session's process-local artifact cache, segment memo, events and tracer.
+// session's process-local artifact cache, cost tables, events and tracer.
 func (s *Session) runConfig(spec RunSpec) (sim.RunConfig, error) {
 	sp, serializable, err := s.lower(spec)
 	if err != nil {
@@ -414,7 +391,7 @@ func (s *Session) runConfig(spec RunSpec) (sim.RunConfig, error) {
 		// A built Workload replaces the empty one the zero Queues lowered to.
 		cfg.Workload = spec.Workload
 	}
-	cfg.Memo, cfg.Events, cfg.Trace = s.memo, s.events, s.tracer
+	cfg.Tables, cfg.Events, cfg.Trace = s.tables, s.events, s.tracer
 	return cfg, nil
 }
 
@@ -443,7 +420,8 @@ func (s *Session) Instrument(p *Program, params TechniqueParams) (*Artifact, err
 }
 
 // MeasureIPC runs the program to completion alone on each of the session
-// machine's core types (full cache share, no instrumentation) and returns
+// machine's core types (the full share of that core's own L2 group, no
+// instrumentation) and returns
 // the measured IPC per type — the signal Algorithm 2 consumes. The image is
 // prepared through the session cache; seed drives branch outcomes, so equal
 // seeds give bit-identical measurements.
@@ -460,9 +438,10 @@ func (s *Session) MeasureIPC(p *Program, seed uint64) ([]float64, error) {
 		if ids := s.machine.CoresOfType(pars[t].Type); len(ids) > 0 {
 			coreID = ids[0]
 		}
+		l2KB := s.machine.L2s[s.machine.Cores[coreID].L2].SizeKB
 		proc := exec.NewProcess(1, art.Image, &cost, seed, nil)
 		es := perfcnt.Start(&proc.Counters)
-		proc.RunIsolated(&pars[t], coreID, s.machine.L2s[0].SizeKB, 0)
+		proc.RunIsolated(&pars[t], coreID, l2KB, 0)
 		instrs, cycles := es.Stop(&proc.Counters)
 		ipcs[t] = perfcnt.IPC(instrs, cycles)
 	}

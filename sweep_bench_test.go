@@ -78,10 +78,9 @@ func BenchmarkGridSweep(b *testing.B) {
 	stats := sess.CacheStats()
 	b.ReportMetric(float64(stats.Misses), "pipeline-runs")
 	b.ReportMetric(float64(stats.Hits), "cache-hits")
-	// The session's segment memo records the first iteration and replays
-	// the rest: from b.N >= 2 the hit rate is the fraction of chunk
-	// lookups served without re-stepping the interpreter.
-	memo := sess.MemoStats()
-	b.ReportMetric(memo.HitRate(), "memo-hit-rate")
-	b.ReportMetric(float64(memo.ReplayedSteps), "memo-replayed-steps")
+	// The session's cost-table store builds each lane once: the hit rate
+	// is the fraction of dispatch bursts priced from an existing table.
+	tables := sess.MemoStats()
+	b.ReportMetric(tables.HitRate(), "memo-hit-rate")
+	b.ReportMetric(float64(tables.Lanes), "cost-tables")
 }
