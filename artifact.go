@@ -7,11 +7,10 @@ import (
 
 // Staged static pipeline.
 //
-// The one-shot Instrument helper re-runs every stage per call. The staged
-// API splits it into the technique-independent front half (Analyze: CFGs,
-// call graph, k-means typing) and the technique-dependent back half
+// The pipeline splits into the technique-independent front half (Analyze:
+// CFGs, call graph, k-means typing) and the technique-dependent back half
 // (Analysis.Instrument: summarization, transition planning, rewriting),
-// and makes the products cacheable: an ImageCache keyed on program content
+// and its products are cacheable: an ImageCache keyed on program content
 // plus every pipeline input serves repeated preparations without recompute.
 type (
 	// Analysis is the reusable front half of the static pipeline; one

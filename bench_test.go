@@ -245,11 +245,15 @@ func BenchmarkAblationLookahead(b *testing.B) {
 			}
 			marks := 0
 			for _, bench := range cfg.Suite {
-				_, stats, err := phasetune.Instrument(bench.Prog, params, cfg.Typing, cfg.Cost)
+				a, err := phasetune.Analyze(bench.Prog, cfg.Typing)
 				if err != nil {
 					b.Fatal(err)
 				}
-				marks += stats.Marks
+				art, err := a.Instrument(params, cfg.Cost)
+				if err != nil {
+					b.Fatal(err)
+				}
+				marks += art.Stats.Marks
 			}
 			if la == 0 {
 				b.ReportMetric(float64(marks), "marks-lookahead0")
@@ -315,8 +319,11 @@ func BenchmarkInstrumentPipeline(b *testing.B) {
 	cost := exec.DefaultCostModel()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := phasetune.Instrument(p, experiments.BestParams(),
-			phase.Options{K: 2, MinBlockInstrs: 5}, cost); err != nil {
+		a, err := phasetune.Analyze(p, phase.Options{K: 2, MinBlockInstrs: 5})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := a.Instrument(experiments.BestParams(), cost); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,484 +1,176 @@
-// Command benchjson runs the repository's headline performance benchmarks
-// and appends them to a machine-readable history (default BENCH_sweep.json),
-// so the performance trajectory accumulates PR-over-PR instead of living
-// only in transient `go test -bench` output.
+// Command benchjson renders the repository's machine-readable measurement
+// history (default BENCH_sweep.json), the append-only log that
+// `cmd/experiments -benchout` writes data entries into (internal/benchhist).
 //
 // Usage:
 //
-//	benchjson [-out BENCH_sweep.json] [-reps 3] [-shards N]
-//	benchjson -history [-out BENCH_sweep.json] [-regression 10]
+//	benchjson [-out BENCH_sweep.json]
 //
-// -history renders the recorded trajectory instead of running benchmarks:
-// one ASCII series per benchmark name (ns/op over entries) plus a
-// last-vs-previous comparison table. The history is shared with other
-// producers (internal/benchhist): `breakdown` entries appended by
-// `cmd/experiments -run breakdown -benchout` render as misprediction-cost
-// heatmaps after the timing series, `serving` entries appended by
-// `cmd/experiments -run serving -benchout` render as latency quantile
-// strips, `ledger` entries appended by `cmd/experiments -run showdown
-// -ledger -benchout` render as per-policy cycle-attribution stacked bars,
-// `contention` entries appended by `cmd/experiments -run contention
-// -benchout` render as a shared-cache herding table,
-// and entries of kinds this build does not know are called out by
-// kind and count rather than silently skipped. The regression gate
-// compares the last two *timing* entries, so appending a breakdown map, a
-// serving summary, an attribution rollup, or a herding table never masks
-// (or fakes) a benchmark regression. It exits
-// non-zero when any benchmark regressed by more than -regression percent —
-// CI wires it as a soft-fail step so the performance trajectory is
-// inspected on every push without blocking unrelated work.
+// The latest entry of each data kind renders as a chart:
 //
-// Timings recorded, mirroring the root bench harness:
+//   - `breakdown` (`cmd/experiments -run breakdown -benchout`): one
+//     misprediction-cost heatmap per machine;
+//   - `serving` (`-run serving -benchout`): sojourn quantile strips per
+//     machine and offered load;
+//   - `ledger` (`-run showdown -ledger -benchout`): per-policy
+//     cycle-attribution stacked bars;
+//   - `contention` (`-run contention -benchout`): a shared-cache herding
+//     table.
 //
-//   - grid_sequential: the legacy one-shot Run loop over the technique
-//     grid (no artifact sharing);
-//   - grid_sweep: the identical grid through Session.Sweep (bounded worker
-//     pool + shared image cache);
-//   - grid_sweep_sharded (with -shards N): the identical grid through the
-//     distributed fabric (Session.SweepSharded) with N local workers —
-//     wire-format specs, per-worker caches, deterministic merge. Note the
-//     protocols differ on repetition: grid_sweep reuses one session, so
-//     reps after the first run cache-warm, while every sharded rep builds
-//     fresh per-worker caches (workers live per call). Compare both
-//     against grid_sequential (always cold), not against each other;
-//   - workload_second_baseline / workload_second_dynamic: the cost of
-//     simulating one loaded second under the stock scheduler and under the
-//     online phase detector (the dynamic subsystem's overhead on the
-//     simulator hot path).
-//
-// Each benchmark runs -reps times and reports the minimum (the standard
-// noise-rejection choice for wall-clock microbenchmarks). Every timing
-// benchmark additionally records its heap allocation count for the fastest
-// rep (metric allocs_per_op, the `-benchmem` analogue), and grid_sweep
-// records the session's block cost-table counters (memo_hits plus the
-// derived memo_hit_rate, lane lookups that found an existing table): with
-// -reps >= 2 the later reps price every step from tables the first rep
-// built, so a zero warm hit rate means the grid stopped sharing tables.
-//
-// The output file is a history (schema phasetune-bench-history/v1): each
-// invocation appends one timestamped entry. A pre-history file holding a
-// single phasetune-bench/v1 report is absorbed as the first entry.
+// Timing entries recorded by earlier builds stay in the file but are only
+// counted: they are warm min-over-reps figures, and coldbench/ is the
+// repository's performance harness. Entries of kinds this build does not
+// know are called out by kind and count rather than silently skipped.
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"runtime"
 	"sort"
-	"strings"
-	"time"
 
-	"phasetune"
 	"phasetune/internal/benchhist"
 	"phasetune/internal/textplot"
 )
 
 func main() {
-	out := flag.String("out", "BENCH_sweep.json", "output path (history is appended)")
-	reps := flag.Int("reps", 3, "repetitions per benchmark (minimum is reported)")
-	shards := flag.Int("shards", 0, "also time the grid through the distributed fabric with N local workers")
-	history := flag.Bool("history", false, "render the recorded history and check for regressions instead of running")
-	regression := flag.Float64("regression", 10, "history mode: fail when a benchmark slowed by more than this percent vs the previous entry")
+	out := flag.String("out", "BENCH_sweep.json", "history file to render")
 	flag.Parse()
-	var err error
-	if *history {
-		err = runHistory(*out, *regression)
-	} else {
-		err = run(*out, *reps, *shards)
-	}
-	if err != nil {
+	if err := render(os.Stdout, *out); err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
 	}
 }
 
-// runHistory renders the recorded trajectory and gates on regressions:
-// every benchmark's ns/op is plotted over the timing entries, the latest
-// breakdown entry (if any) renders as heatmaps, and the newest timing
-// entry is compared against the one before it.
-func runHistory(path string, regressionPct float64) error {
+// render writes the history at path to w: an entry count, the timing and
+// unknown-kind notes, then the latest entry of each data kind.
+func render(w io.Writer, path string) error {
 	hist := benchhist.Load(path)
 	if len(hist.Entries) == 0 {
 		return fmt.Errorf("%s holds no history entries", path)
 	}
-
-	// Partition by kind: timings chart as series, the latest breakdown
-	// charts as heatmaps, the latest serving entry as quantile strips,
-	// anything newer than this build is surfaced.
-	var timings []benchhist.Entry
-	var lastBreakdown, lastServing, lastLedger, lastContention *benchhist.Entry
+	timings := 0
+	latest := map[string]*benchhist.Entry{}
 	unknown := map[string]int{}
 	for i := range hist.Entries {
-		e := hist.Entries[i]
+		e := &hist.Entries[i]
 		switch e.Kind {
 		case benchhist.KindBench:
-			timings = append(timings, e)
-		case benchhist.KindBreakdown:
-			lastBreakdown = &hist.Entries[i]
-		case benchhist.KindServing:
-			lastServing = &hist.Entries[i]
-		case benchhist.KindLedger:
-			lastLedger = &hist.Entries[i]
-		case benchhist.KindContention:
-			lastContention = &hist.Entries[i]
+			timings++
+		case benchhist.KindBreakdown, benchhist.KindServing, benchhist.KindLedger, benchhist.KindContention:
+			latest[e.Kind] = e
 		default:
 			unknown[e.Kind]++
 		}
 	}
-	fmt.Printf("%s: %d entries (%d timing, oldest first)\n", path, len(hist.Entries), len(timings))
-	for kind, n := range unknown {
-		fmt.Printf("note: %d entries of kind %q recorded by a newer producer — not charted by this build\n", n, kind)
+	fmt.Fprintf(w, "%s: %d entries, oldest first\n", path, len(hist.Entries))
+	if timings > 0 {
+		fmt.Fprintf(w, "note: %d timing entries (warm min-over-reps) are not charted; coldbench/ is the performance harness\n", timings)
+	}
+	kinds := make([]string, 0, len(unknown))
+	for kind := range unknown {
+		kinds = append(kinds, kind)
+	}
+	sort.Strings(kinds)
+	for _, kind := range kinds {
+		fmt.Fprintf(w, "note: %d entries of kind %q recorded by a newer producer — not charted by this build\n", unknown[kind], kind)
 	}
 
-	// Collect per-benchmark series in first-appearance order.
-	var names []string
-	series := map[string][]float64{} // parallel to timing indices; -1 marks absent
-	for _, e := range timings {
-		for _, b := range e.Benchmarks {
-			if _, ok := series[b.Name]; !ok {
-				series[b.Name] = nil
-				names = append(names, b.Name)
-			}
-		}
+	if e := latest[benchhist.KindBreakdown]; e != nil {
+		renderBreakdown(w, e)
 	}
-	for _, name := range names {
-		for _, e := range timings {
-			v := -1.0
-			for _, b := range e.Benchmarks {
-				if b.Name == name {
-					v = float64(b.NsPerOp) / 1e6 // ms
-				}
-			}
-			series[name] = append(series[name], v)
-		}
+	if e := latest[benchhist.KindServing]; e != nil {
+		renderServing(w, e)
 	}
-	for _, name := range names {
-		var xs, ys []float64
-		for i, v := range series[name] {
-			if v >= 0 {
-				xs = append(xs, float64(i))
-				ys = append(ys, v)
-			}
-		}
-		if len(xs) < 2 {
-			continue
-		}
-		fmt.Printf("\n%s (ms/op over entries)\n", name)
-		fmt.Print(textplot.Series("entry", "ms/op", xs, ys, 40))
+	if e := latest[benchhist.KindLedger]; e != nil {
+		renderLedger(w, e)
 	}
-
-	if lastBreakdown != nil {
-		fmt.Printf("\nmisprediction-cost breakdown (recorded %s): dynamic−static tput delta (pp)\n",
-			lastBreakdown.Timestamp)
-		for _, bd := range lastBreakdown.Breakdown {
-			var cols []string
-			for _, w := range bd.WindowInstrs {
-				cols = append(cols, fmt.Sprintf("%d", w))
-			}
-			var rows []string
-			for _, a := range bd.Alternations {
-				rows = append(rows, fmt.Sprintf("alt.x%d", a))
-			}
-			fmt.Printf("\n%s\n", bd.Machine)
-			fmt.Print(textplot.Heatmap("rate\\win", rows, cols, bd.DeltaPct, bd.TolerancePct))
-		}
+	if e := latest[benchhist.KindContention]; e != nil {
+		renderContention(w, e)
 	}
-
-	if lastServing != nil {
-		fmt.Printf("\nopen-system serving (recorded %s): sojourn quantiles by load × policy\n",
-			lastServing.Timestamp)
-		for _, sv := range lastServing.Serving {
-			for li, load := range sv.Loads {
-				if li >= len(sv.P50Sec) {
-					break
-				}
-				peak := 0
-				if li < len(sv.PeakRunnable) {
-					peak = sv.PeakRunnable[li]
-				}
-				fmt.Printf("\n%s @ load %.2fx (peak runnable %d)\n", sv.Machine, load, peak)
-				// The entry stores p50/p99/p999; reuse p99 for the strip's
-				// p95 slot so the markers stay ordered.
-				fmt.Print(textplot.QuantileStrip(sv.Policies,
-					sv.P50Sec[li], sv.P99Sec[li], sv.P99Sec[li], sv.P999Sec[li], 48))
-			}
-		}
-	}
-
-	if lastLedger != nil {
-		fmt.Printf("\ncycle attribution (recorded %s): %% of machine time by policy\n",
-			lastLedger.Timestamp)
-		segments := []string{"useful", "asymmetry", "spill", "overhead", "idle"}
-		var machines []string
-		seen := map[string]bool{}
-		for _, r := range lastLedger.Ledger {
-			if !seen[r.Machine] {
-				seen[r.Machine] = true
-				machines = append(machines, r.Machine)
-			}
-		}
-		for _, machine := range machines {
-			var names []string
-			var vals [][]float64
-			for _, r := range lastLedger.Ledger {
-				if r.Machine != machine {
-					continue
-				}
-				names = append(names, r.Policy)
-				vals = append(vals, []float64{
-					r.UsefulPct, r.AsymmetryPct, r.SpillPct, r.OverheadPct, r.IdlePct})
-			}
-			fmt.Printf("\n%s\n", machine)
-			fmt.Print(textplot.StackedBars(names, segments, vals, 48))
-		}
-	}
-
-	if lastContention != nil {
-		fmt.Printf("\nshared-cache contention (recorded %s): hottest-group share of memory-bound time\n",
-			lastContention.Timestamp)
-		t := textplot.NewTable("machine", "policy", "priced", "max-share", "groups", "tput%")
-		for _, r := range lastContention.Contention {
-			priced := "-"
-			if r.Priced {
-				priced = "yes"
-			}
-			t.AddRow(r.Machine, r.Policy, priced,
-				fmt.Sprintf("%.3f", r.MaxMemShare),
-				fmt.Sprintf("%.1f", r.GroupsUsed),
-				fmt.Sprintf("%+.2f", r.ThroughputPct))
-		}
-		fmt.Print(t.String())
-	}
-
-	if len(timings) < 2 {
-		fmt.Println("\nfewer than two timing entries: nothing to compare")
-		return nil
-	}
-	prev, last := timings[len(timings)-2], timings[len(timings)-1]
-	prevNs := map[string]int64{}
-	for _, b := range prev.Benchmarks {
-		prevNs[b.Name] = b.NsPerOp
-	}
-	t := textplot.NewTable("benchmark", "prev ms", "last ms", "delta%")
-	var regressed []string
-	for _, b := range last.Benchmarks {
-		p, ok := prevNs[b.Name]
-		if !ok || p == 0 {
-			continue
-		}
-		deltaPct := 100 * (float64(b.NsPerOp) - float64(p)) / float64(p)
-		t.AddRow(b.Name,
-			fmt.Sprintf("%.1f", float64(p)/1e6),
-			fmt.Sprintf("%.1f", float64(b.NsPerOp)/1e6),
-			fmt.Sprintf("%+.1f", deltaPct))
-		if deltaPct > regressionPct {
-			regressed = append(regressed, fmt.Sprintf("%s (%+.1f%%)", b.Name, deltaPct))
-		}
-	}
-	fmt.Println()
-	fmt.Print(t.String())
-
-	// Derived metrics and allocation counts of the newest entry: speedups,
-	// the cost-table hit rate, and allocs/op per benchmark.
-	if len(last.Derived) > 0 {
-		keys := make([]string, 0, len(last.Derived))
-		for k := range last.Derived {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		fmt.Println("\nlatest derived metrics:")
-		for _, k := range keys {
-			fmt.Printf("  %s = %.3f\n", k, last.Derived[k])
-		}
-	}
-	var seqNs, shdNs int64
-	for _, b := range last.Benchmarks {
-		switch b.Name {
-		case "grid_sequential":
-			seqNs = b.NsPerOp
-		case "grid_sweep_sharded":
-			shdNs = b.NsPerOp
-		}
-		if a, ok := b.Metrics["allocs_per_op"]; ok {
-			fmt.Printf("  %s allocs/op = %.0f\n", b.Name, a)
-		}
-	}
-	// Flag the sharded-vs-sequential inversion explicitly: at this grid
-	// size the fabric's per-rep worker lifecycle, cold per-worker caches,
-	// and JSON transport outweigh the parallelism, and that is a finding,
-	// not a charting artifact (EXPERIMENTS.md, "Why the sharded grid is
-	// slower than the sequential loop").
-	if shdNs > 0 && seqNs > 0 && shdNs > seqNs {
-		fmt.Printf("\nnote: grid_sweep_sharded (%.1f ms) is SLOWER than grid_sequential (%.1f ms): the distributed fabric's per-rep overhead dominates cells this small — see EXPERIMENTS.md\n",
-			float64(shdNs)/1e6, float64(seqNs)/1e6)
-	}
-
-	if len(regressed) > 0 {
-		return fmt.Errorf("regression over %.0f%% vs previous entry: %s",
-			regressionPct, strings.Join(regressed, ", "))
-	}
-	fmt.Printf("\nno benchmark regressed more than %.0f%% vs the previous entry\n", regressionPct)
 	return nil
 }
 
-// timeMin runs f reps times and returns the minimum wall-clock duration
-// plus the heap allocation count of that fastest rep (the `-benchmem`
-// analogue for this wall-clock harness).
-func timeMin(reps int, f func() error) (time.Duration, uint64, error) {
-	var best time.Duration
-	var bestAllocs uint64
-	for i := 0; i < reps; i++ {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		start := time.Now()
-		if err := f(); err != nil {
-			return 0, 0, err
+// renderBreakdown draws one dynamic−static delta heatmap per machine.
+func renderBreakdown(w io.Writer, e *benchhist.Entry) {
+	fmt.Fprintf(w, "\nmisprediction-cost breakdown (recorded %s): dynamic−static tput delta (pp)\n", e.Timestamp)
+	for _, bd := range e.Breakdown {
+		var cols []string
+		for _, win := range bd.WindowInstrs {
+			cols = append(cols, fmt.Sprintf("%d", win))
 		}
-		d := time.Since(start)
-		runtime.ReadMemStats(&after)
-		if i == 0 || d < best {
-			best = d
-			bestAllocs = after.Mallocs - before.Mallocs
+		var rows []string
+		for _, a := range bd.Alternations {
+			rows = append(rows, fmt.Sprintf("alt.x%d", a))
 		}
+		fmt.Fprintf(w, "\n%s\n", bd.Machine)
+		fmt.Fprint(w, textplot.Heatmap("rate\\win", rows, cols, bd.DeltaPct, bd.TolerancePct))
 	}
-	return best, bestAllocs, nil
 }
 
-// gridSpecs mirrors the root sweep benchmark: 3 technique variants x 2
-// seeds, 4-slot workloads, 10 simulated seconds. Workloads are described
-// as Queues so the identical grid also runs through the fabric.
-func gridSpecs() []phasetune.RunSpec {
-	variants := []phasetune.TechniqueParams{
-		phasetune.BestParams(),
-		{Technique: phasetune.BasicBlock, MinSize: 15, PropagateThroughUntyped: true},
-		{Technique: phasetune.Interval, MinSize: 45, PropagateThroughUntyped: true},
-	}
-	var specs []phasetune.RunSpec
-	for _, seed := range []uint64{1, 2} {
-		q := &phasetune.WorkloadSpec{Slots: 4, QueueLen: 8, Seed: seed}
-		for _, params := range variants {
-			specs = append(specs, phasetune.RunSpec{
-				Queues: q, DurationSec: 10, Mode: phasetune.Tuned,
-				Params: params, Seed: seed,
-			})
-		}
-	}
-	return specs
-}
-
-func run(out string, reps, shards int) error {
-	suite, err := phasetune.Suite()
-	if err != nil {
-		return err
-	}
-	specs := gridSpecs()
-	entry := benchhist.Entry{
-		Timestamp: time.Now().UTC().Format(time.RFC3339),
-		GoVersion: runtime.Version(),
-		MaxProcs:  runtime.GOMAXPROCS(0),
-		Shards:    shards,
-		Derived:   map[string]float64{},
-	}
-
-	seq, seqAllocs, err := timeMin(reps, func() error {
-		for _, spec := range specs {
-			w := phasetune.NewWorkload(suite, spec.Queues.Slots, spec.Queues.QueueLen, spec.Queues.Seed)
-			if _, err := phasetune.Run(phasetune.RunConfig{
-				Workload: w, DurationSec: spec.DurationSec,
-				Mode: spec.Mode, Params: spec.Params,
-				Tuning:     phasetune.DefaultTuning(),
-				TypingOpts: phasetune.DefaultTyping(), Seed: spec.Seed,
-			}); err != nil {
-				return err
+// renderServing draws one sojourn quantile strip per machine and load.
+func renderServing(w io.Writer, e *benchhist.Entry) {
+	fmt.Fprintf(w, "\nopen-system serving (recorded %s): sojourn quantiles by load × policy\n", e.Timestamp)
+	for _, sv := range e.Serving {
+		for li, load := range sv.Loads {
+			if li >= len(sv.P50Sec) {
+				break
 			}
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	entry.Benchmarks = append(entry.Benchmarks, benchhist.Benchmark{
-		Name: "grid_sequential", NsPerOp: seq.Nanoseconds(), Reps: reps,
-		Metrics: map[string]float64{"allocs_per_op": float64(seqAllocs)},
-	})
-
-	sess := phasetune.NewSession()
-	swp, swpAllocs, err := timeMin(reps, func() error {
-		_, err := sess.Sweep(context.Background(), specs)
-		return err
-	})
-	if err != nil {
-		return err
-	}
-	stats := sess.CacheStats()
-	tables := sess.MemoStats()
-	entry.Benchmarks = append(entry.Benchmarks, benchhist.Benchmark{
-		Name: "grid_sweep", NsPerOp: swp.Nanoseconds(), Reps: reps,
-		Metrics: map[string]float64{
-			"pipeline_runs": float64(stats.Misses),
-			"cache_hits":    float64(stats.Hits),
-			"allocs_per_op": float64(swpAllocs),
-			"memo_hits":     float64(tables.Hits),
-		},
-	})
-	if swp > 0 {
-		entry.Derived["sweep_speedup"] = float64(seq) / float64(swp)
-	}
-	entry.Derived["memo_hit_rate"] = tables.HitRate()
-
-	if shards > 1 {
-		shardSess := phasetune.NewSession()
-		shd, shdAllocs, err := timeMin(reps, func() error {
-			_, err := shardSess.SweepSharded(context.Background(), specs, shards)
-			return err
-		})
-		if err != nil {
-			return err
-		}
-		entry.Benchmarks = append(entry.Benchmarks, benchhist.Benchmark{
-			Name: "grid_sweep_sharded", NsPerOp: shd.Nanoseconds(), Reps: reps,
-			Metrics: map[string]float64{
-				"shards":        float64(shards),
-				"allocs_per_op": float64(shdAllocs),
-			},
-		})
-		if shd > 0 {
-			entry.Derived["sharded_speedup"] = float64(seq) / float64(shd)
+			peak := 0
+			if li < len(sv.PeakRunnable) {
+				peak = sv.PeakRunnable[li]
+			}
+			fmt.Fprintf(w, "\n%s @ load %.2fx (peak runnable %d)\n", sv.Machine, load, peak)
+			// The entry stores p50/p99/p999; reuse p99 for the strip's
+			// p95 slot so the markers stay ordered.
+			fmt.Fprint(w, textplot.QuantileStrip(sv.Policies,
+				sv.P50Sec[li], sv.P99Sec[li], sv.P99Sec[li], sv.P999Sec[li], 48))
 		}
 	}
+}
 
-	w := phasetune.NewWorkload(suite, 8, 64, 1)
-	for _, bench := range []struct {
-		name   string
-		policy phasetune.Policy
-	}{
-		{"workload_second_baseline", phasetune.PolicyNone},
-		{"workload_second_dynamic", phasetune.PolicyDynamic},
-	} {
-		sess := phasetune.NewSession()
-		d, dAllocs, err := timeMin(reps, func() error {
-			_, err := sess.Run(phasetune.RunSpec{
-				Workload: w, DurationSec: 1, Seed: 1, Policy: bench.policy,
-			})
-			return err
-		})
-		if err != nil {
-			return err
+// renderLedger draws per-policy cycle-attribution stacked bars per machine.
+func renderLedger(w io.Writer, e *benchhist.Entry) {
+	fmt.Fprintf(w, "\ncycle attribution (recorded %s): %% of machine time by policy\n", e.Timestamp)
+	segments := []string{"useful", "asymmetry", "spill", "overhead", "idle"}
+	var machines []string
+	seen := map[string]bool{}
+	for _, r := range e.Ledger {
+		if !seen[r.Machine] {
+			seen[r.Machine] = true
+			machines = append(machines, r.Machine)
 		}
-		entry.Benchmarks = append(entry.Benchmarks, benchhist.Benchmark{
-			Name: bench.name, NsPerOp: d.Nanoseconds(), Reps: reps,
-			Metrics: map[string]float64{"allocs_per_op": float64(dAllocs)},
-		})
 	}
+	for _, machine := range machines {
+		var names []string
+		var vals [][]float64
+		for _, r := range e.Ledger {
+			if r.Machine != machine {
+				continue
+			}
+			names = append(names, r.Policy)
+			vals = append(vals, []float64{
+				r.UsefulPct, r.AsymmetryPct, r.SpillPct, r.OverheadPct, r.IdlePct})
+		}
+		fmt.Fprintf(w, "\n%s\n", machine)
+		fmt.Fprint(w, textplot.StackedBars(names, segments, vals, 48))
+	}
+}
 
-	hist := benchhist.Load(out)
-	hist.Entries = append(hist.Entries, entry)
-	if err := benchhist.Save(out, hist); err != nil {
-		return err
+// renderContention tabulates the hottest cache group's share per row.
+func renderContention(w io.Writer, e *benchhist.Entry) {
+	fmt.Fprintf(w, "\nshared-cache contention (recorded %s): hottest-group share of memory-bound time\n", e.Timestamp)
+	t := textplot.NewTable("machine", "policy", "priced", "max-share", "groups", "tput%")
+	for _, r := range e.Contention {
+		priced := "-"
+		if r.Priced {
+			priced = "yes"
+		}
+		t.AddRow(r.Machine, r.Policy, priced,
+			fmt.Sprintf("%.3f", r.MaxMemShare),
+			fmt.Sprintf("%.1f", r.GroupsUsed),
+			fmt.Sprintf("%+.2f", r.ThroughputPct))
 	}
-	fmt.Printf("wrote %s (entry %d, %d benchmarks, sweep speedup %.2fx)\n",
-		out, len(hist.Entries), len(entry.Benchmarks), entry.Derived["sweep_speedup"])
-	return nil
+	fmt.Fprint(w, t.String())
 }

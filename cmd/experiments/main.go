@@ -26,7 +26,7 @@
 // detector window sizes (-windows), rendered as a dynamic-vs-static delta
 // heatmap with the break-even frontier marked. -benchout appends the map
 // as a `breakdown` entry to the measurement history (BENCH_sweep.json),
-// where `benchjson -history` charts it alongside the timing trajectory.
+// where `benchjson` renders it as heatmaps.
 //
 // -run serving is the open-system experiment: Poisson arrivals at offered
 // loads 0.5×–1.5× of machine capacity, overcommit scheduling, and the
@@ -52,7 +52,7 @@
 // cell's machine time (useful work, asymmetry loss, capacity spill,
 // instrumentation overhead, idle), and `-run showdown -ledger -benchout`
 // additionally appends the per-policy rollup as a `ledger` history entry
-// that `benchjson -history` renders as stacked bars. Accounting never
+// that `benchjson` renders as stacked bars. Accounting never
 // perturbs a run, so the timing columns are unchanged.
 //
 // -cpuprofile and -memprofile write pprof profiles of the whole invocation

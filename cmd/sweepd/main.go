@@ -59,6 +59,7 @@ import (
 	"phasetune/internal/dist"
 	"phasetune/internal/experiments"
 	"phasetune/internal/sim"
+	"phasetune/internal/workload"
 )
 
 func main() {
@@ -286,12 +287,15 @@ func runCoordinator(o coordOpts) error {
 // fabric's committed bytes match the sequential encodings exactly — the
 // deterministic-merge contract, checked end to end.
 func verifyAgainstSequential(camp dist.Campaign, raws []json.RawMessage) error {
-	suite, err := camp.Env.Suite()
-	if err != nil {
-		return err
-	}
+	var suite []*workload.Benchmark
 	cache := sim.NewImageCache()
 	for i, sp := range camp.Specs {
+		if suite == nil && sp.Queues.DrawsSuite() {
+			var err error
+			if suite, err = camp.Env.Suite(); err != nil {
+				return fmt.Errorf("verify: rebuild suite: %w", err)
+			}
+		}
 		cfg, err := camp.Env.RunConfig(sp, suite, cache)
 		if err != nil {
 			return fmt.Errorf("verify spec %d: %w", i, err)

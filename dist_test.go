@@ -3,6 +3,7 @@ package phasetune_test
 import (
 	"bytes"
 	"context"
+	"errors"
 	"sync"
 	"testing"
 
@@ -196,6 +197,33 @@ func TestSweepShardedRejectsBuiltWorkloads(t *testing.T) {
 	}, 2)
 	if err == nil {
 		t.Fatal("SweepSharded accepted a spec with no workload at all")
+	}
+}
+
+// TestRunSpecRejectsWorkloadAndQueues: a spec naming both a built Workload
+// and Queues is ambiguous, so Run and SweepSharded both reject it, and
+// SweepSharded does not answer with ErrNeedQueues, which asks for the
+// Queues the spec already sets.
+func TestRunSpecRejectsWorkloadAndQueues(t *testing.T) {
+	suite, err := phasetune.Suite()
+	if err != nil {
+		t.Fatal(err)
+	}
+	both := phasetune.RunSpec{
+		Workload:    phasetune.NewWorkload(suite, 2, 2, 1),
+		Queues:      &phasetune.WorkloadSpec{Slots: 2, QueueLen: 2, Seed: 1},
+		DurationSec: 1, Seed: 1,
+	}
+	sess := phasetune.NewSession()
+	if _, err := sess.Run(both); err == nil {
+		t.Error("Run accepted a spec with both Workload and Queues")
+	}
+	_, err = sess.SweepSharded(context.Background(), []phasetune.RunSpec{both}, 2)
+	if err == nil {
+		t.Fatal("SweepSharded accepted a spec with both Workload and Queues")
+	}
+	if errors.Is(err, phasetune.ErrNeedQueues) {
+		t.Errorf("SweepSharded asked for Queues the spec already sets: %v", err)
 	}
 }
 

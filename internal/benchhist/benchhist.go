@@ -1,9 +1,9 @@
 // Package benchhist is the schema and I/O for the repository's
 // machine-readable measurement history (BENCH_sweep.json). The file is an
-// append-only log: every producer — cmd/benchjson's benchmark timings,
-// cmd/experiments' breakdown-map summaries — appends one typed entry per
-// invocation, and cmd/benchjson -history renders the accumulated
-// trajectory. Keeping the schema here, instead of private to one command,
+// append-only log: every producer — cmd/experiments' breakdown, serving,
+// ledger and contention summaries, and benchmark timings recorded by
+// earlier builds — appends one typed entry per invocation, and
+// cmd/benchjson renders the accumulated history. Keeping the schema here, instead of private to one command,
 // is what lets several producers share one history without drifting.
 package benchhist
 
@@ -95,9 +95,7 @@ func SanitizeNaNs(vs []float64) []float64 {
 
 // Serving is one machine's open-system latency summary: exact sojourn
 // quantiles over the (offered load × placement policy) grid
-// (experiments.Serving). Latency entries are data, not timings: the
-// -history regression gate compares benchmark timings only and must never
-// trip on a serving entry.
+// (experiments.Serving). Latency entries are data, not timings.
 type Serving struct {
 	// Machine is the machine name.
 	Machine string `json:"machine"`
@@ -140,9 +138,7 @@ type LedgerRow struct {
 
 // ContentionRow is one (machine, policy, priced) cell of the shared-cache
 // herding campaign recorded by `cmd/experiments -run contention -benchout`
-// (experiments.Contention). Contention rows are data, not timings: the
-// -history regression gate compares benchmark timings only and must never
-// trip on a contention entry.
+// (experiments.Contention). Contention rows are data, not timings.
 type ContentionRow struct {
 	// Machine is the machine name.
 	Machine string `json:"machine"`

@@ -16,12 +16,14 @@ import (
 var errCrashed = errors.New("dist: worker crashed (test hook)")
 
 // Worker executes leases from a coordinator. It registers once, rebuilds
-// the session environment from the coordinator's EnvSpec (suite generation
-// included), and then loops: lease, run, commit. One artifact cache and one
-// cost-table store live for the worker's whole lifetime, so each distinct
-// (benchmark, technique) image is prepared once per worker no matter how
-// many leases touch it, and block cost tables built for one lease price
-// later ones — the warm-cache property that makes long campaigns cheap.
+// the session environment from the coordinator's EnvSpec, and then loops:
+// lease, run, commit. The suite is generated at the first spec that draws
+// from it, so serving, alternation and fleet campaigns never pay for it.
+// One artifact cache and one cost-table store live for the worker's whole
+// lifetime, so each distinct (benchmark, technique) image is prepared once
+// per worker no matter how many leases touch it, and block cost tables
+// built for one lease price later ones — the warm-cache property that
+// makes long campaigns cheap.
 // Both are strictly worker-local: neither changes a result (DESIGN.md
 // §13), so sharded merges stay byte-identical without either ever
 // crossing the wire.
@@ -52,10 +54,7 @@ func (w *Worker) Run(ctx context.Context) error {
 	if err := reg.Env.Validate(); err != nil {
 		return err
 	}
-	suite, err := reg.Env.Suite()
-	if err != nil {
-		return fmt.Errorf("dist: rebuild suite: %w", err)
-	}
+	var suite []*workload.Benchmark
 	cache := sim.NewImageCache()
 	tables := exec.NewCostTables()
 
@@ -89,7 +88,7 @@ func (w *Worker) Run(ctx context.Context) error {
 			if len(lr.Specs) != len(lr.Indices) {
 				return fmt.Errorf("dist: lease %s: %d specs for %d indices", lr.LeaseID, len(lr.Specs), len(lr.Indices))
 			}
-			if err := w.runLease(ctx, reg, suite, cache, tables, lr, &runs); err != nil {
+			if err := w.runLease(ctx, reg, &suite, cache, tables, lr, &runs); err != nil {
 				return err
 			}
 		default:
@@ -98,12 +97,23 @@ func (w *Worker) Run(ctx context.Context) error {
 	}
 }
 
-// runLease executes and commits one lease's specs in order.
-func (w *Worker) runLease(ctx context.Context, reg *RegisterReply, suite []*workload.Benchmark,
+// runLease executes and commits one lease's specs in order, generating
+// *suite at the first spec that draws from it.
+func (w *Worker) runLease(ctx context.Context, reg *RegisterReply, suite *[]*workload.Benchmark,
 	cache *sim.ImageCache, tables *exec.CostTables, lr *LeaseReply, runs *int) error {
 
 	for k, idx := range lr.Indices {
-		cfg, rerr := reg.Env.RunConfig(lr.Specs[k], suite, cache)
+		sp := lr.Specs[k]
+		var rerr error
+		if *suite == nil && sp.Queues.DrawsSuite() {
+			if *suite, rerr = reg.Env.Suite(); rerr != nil {
+				rerr = fmt.Errorf("rebuild suite: %w", rerr)
+			}
+		}
+		var cfg sim.RunConfig
+		if rerr == nil {
+			cfg, rerr = reg.Env.RunConfig(sp, *suite, cache)
+		}
 		cfg.Tables = tables
 		var res *sim.Result
 		if rerr == nil {

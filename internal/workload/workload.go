@@ -741,6 +741,13 @@ type Spec struct {
 	Arrivals *ArrivalSpec `json:"arrivals,omitempty"`
 }
 
+// DrawsSuite reports whether the spec draws its workload from the
+// benchmark suite: no arrivals, no alternation axis, no named fleet. Only
+// such specs read a suite, so callers generate one for them alone.
+func (s Spec) DrawsSuite() bool {
+	return s.Arrivals == nil && s.Alternations <= 0 && s.Fleet == ""
+}
+
 // Build materializes the workload against a suite. It serves only the
 // suite-draw form (Alternations == 0); alternation-axis specs go through
 // Materialize.

@@ -321,3 +321,23 @@ func TestVariantsShareBehavior(t *testing.T) {
 		}
 	}
 }
+
+func TestSpecDrawsSuite(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		spec Spec
+		want bool
+	}{
+		{"zero", Spec{}, true},
+		{"suite draw", Spec{Slots: 4, QueueLen: 8, Seed: 3}, true},
+		{"negative alternations", Spec{Slots: 4, Alternations: -1}, true},
+		{"alternation axis", Spec{Slots: 4, Alternations: 8}, false},
+		{"antagonist fleet", Spec{Slots: 4, Fleet: FleetAntagonist}, false},
+		{"unknown fleet", Spec{Slots: 4, Fleet: "other"}, false},
+		{"arrivals", Spec{Seed: 1, Arrivals: &ArrivalSpec{Kind: Poisson, RatePerSec: 1, HorizonSec: 1}}, false},
+	} {
+		if got := tc.spec.DrawsSuite(); got != tc.want {
+			t.Errorf("%s: DrawsSuite() = %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}

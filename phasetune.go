@@ -50,9 +50,6 @@
 //	     Params: phasetune.BestParams()},
 //	})
 //
-// The one-shot Run and Instrument helpers remain as thin wrappers over the
-// same machinery.
-//
 // See DESIGN.md for the system inventory and EXPERIMENTS.md for
 // paper-versus-measured results.
 package phasetune
@@ -153,25 +150,6 @@ func BestParams() TechniqueParams { return experiments.BestParams() }
 // DefaultTyping returns the standard typing options (k = 2 phase types).
 func DefaultTyping() TypingOptions { return phase.Options{K: 2, MinBlockInstrs: 5} }
 
-// Instrument runs the full static pipeline — CFG construction, phase typing,
-// summarization, transition marking, binary rewriting — and returns an
-// executable image plus instrumentation statistics.
-//
-// It is a one-shot compatibility wrapper over the staged API: Analyze
-// followed by Analysis.Instrument, with no caching. Repeated preparations
-// should go through a Session (or an ImageCache) instead.
-func Instrument(p *Program, params TechniqueParams, topts TypingOptions, cost CostModel) (*Image, ImageStats, error) {
-	a, err := Analyze(p, topts)
-	if err != nil {
-		return nil, ImageStats{}, err
-	}
-	art, err := a.Instrument(params, cost)
-	if err != nil {
-		return nil, ImageStats{}, err
-	}
-	return art.Image, art.Stats, nil
-}
-
 // Dynamic tuning.
 type (
 	// TuningConfig parameterizes the static-mark runtime (δ threshold,
@@ -236,8 +214,6 @@ type (
 	// (slots, queue length, seed) — the serializable identity a session
 	// resolves against its own suite. Distributed sweeps require it.
 	WorkloadSpec = workload.Spec
-	// RunConfig configures one simulation run.
-	RunConfig = sim.RunConfig
 	// RunResult is the outcome of a run.
 	RunResult = sim.Result
 	// TaskStat is one job's record.
@@ -272,11 +248,6 @@ func SuiteFor(cost CostModel, m *Machine) ([]*Benchmark, error) {
 func NewWorkload(suite []*Benchmark, slots, queueLen int, seed uint64) *Workload {
 	return workload.BuildWorkload(suite, slots, queueLen, seed)
 }
-
-// Run executes one workload simulation. It is a compatibility wrapper: new
-// code should prefer Session.RunContext, which adds cancellation, progress
-// hooks, and artifact caching (see the migration note in README.md).
-func Run(cfg RunConfig) (*RunResult, error) { return sim.Run(cfg) }
 
 // Metrics.
 

@@ -253,8 +253,8 @@ func (s *Session) MemoStats() MemoStats { return s.tables.Stats() }
 // RunSpec configures one run within a session. Zero values inherit the
 // session defaults; only what varies per run needs to be set.
 type RunSpec struct {
-	// Workload supplies the slot queues. Exactly one of Workload and
-	// Queues must be set; Workload wins when both are.
+	// Workload supplies the slot queues. Set at most one of Workload,
+	// Queues and Arrivals; a spec that sets two is rejected.
 	Workload *Workload
 	// Queues describes the workload by its construction parameters
 	// (slots, queue length, seed) instead of a built queue set; the
@@ -305,10 +305,13 @@ type RunSpec struct {
 // Mode, then the session policy, then legacy Baseline; nil overrides
 // inherit the session defaults; and the workload travels as construction
 // parameters. serializable reports whether the spec describes its
-// workload by Queues or Arrivals — false for a built Workload (which wins
-// over Queues) or no workload at all.
+// workload by Queues or Arrivals — false for a built Workload or no
+// workload at all. A spec that sets two workload forms is rejected.
 func (s *Session) lower(spec RunSpec) (sp dist.Spec, serializable bool, err error) {
 	queues := spec.Queues
+	if spec.Workload != nil && queues != nil {
+		return dist.Spec{}, false, fmt.Errorf("phasetune: RunSpec.Workload and RunSpec.Queues are mutually exclusive")
+	}
 	if spec.Arrivals != nil {
 		if spec.Workload != nil || queues != nil {
 			return dist.Spec{}, false, fmt.Errorf("phasetune: RunSpec.Arrivals is mutually exclusive with Workload and Queues")
@@ -344,7 +347,7 @@ func (s *Session) lower(spec RunSpec) (sp dist.Spec, serializable bool, err erro
 			sp.Params = BestParams()
 		}
 	}
-	serializable = spec.Workload == nil && queues != nil
+	serializable = queues != nil
 	if serializable {
 		sp.Queues = *queues
 	}
@@ -378,7 +381,7 @@ func (s *Session) runConfig(spec RunSpec) (sim.RunConfig, error) {
 	// Only suite draws read the suite: open-system, alternation and fleet
 	// specs never trigger its generation.
 	var suite []*Benchmark
-	if serializable && sp.Queues.Arrivals == nil && sp.Queues.Alternations <= 0 && sp.Queues.Fleet == "" {
+	if serializable && sp.Queues.DrawsSuite() {
 		if suite, err = s.Suite(); err != nil {
 			return sim.RunConfig{}, err
 		}
@@ -413,8 +416,8 @@ func (s *Session) Run(spec RunSpec) (*RunResult, error) {
 }
 
 // Instrument prepares one program's image under the session environment,
-// through the session cache. It is the session-scoped equivalent of the
-// package-level Instrument helper.
+// through the session cache: Analyze followed by Analysis.Instrument, run
+// once per distinct (program, technique) and served from the cache after.
 func (s *Session) Instrument(p *Program, params TechniqueParams) (*Artifact, error) {
 	return s.cache.Get(p, ImageSpec{Params: params, Typing: s.typing}, s.cost)
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"phasetune"
+	"phasetune/internal/sim"
 )
 
 // sweepGrid is a small but representative spec grid: two seeds, baseline
@@ -41,8 +42,8 @@ func encode(t testing.TB, res *phasetune.RunResult) []byte {
 // TestSweepMatchesSequentialRun asserts the acceptance property of the
 // sweep engine: for a fixed grid, Sweep over a concurrent worker pool with
 // a shared artifact cache returns results byte-identical to the equivalent
-// sequential loop over the compatibility wrapper Run (which shares nothing
-// and re-runs the static pipeline every time).
+// sequential loop over sim.Run (which shares nothing and re-runs the
+// static pipeline every time).
 func TestSweepMatchesSequentialRun(t *testing.T) {
 	suite, err := phasetune.Suite()
 	if err != nil {
@@ -50,11 +51,11 @@ func TestSweepMatchesSequentialRun(t *testing.T) {
 	}
 	specs := sweepGrid(t, suite)
 
-	// Sequential reference: the old one-shot API, no cache.
+	// Sequential reference: the simulator's own entry point, no cache.
 	var want [][]byte
 	for _, spec := range specs {
 		tuning := phasetune.DefaultTuning()
-		res, err := phasetune.Run(phasetune.RunConfig{
+		res, err := sim.Run(sim.RunConfig{
 			Workload: spec.Workload, DurationSec: spec.DurationSec,
 			Mode: spec.Mode, Params: spec.Params, Tuning: tuning,
 			TypingOpts: phasetune.DefaultTyping(), Seed: spec.Seed,
@@ -169,7 +170,7 @@ func TestRunContextCancellation(t *testing.T) {
 }
 
 // TestStagedPipelineMatchesInstrument asserts the staged API composes to
-// the one-shot wrapper.
+// the image a fresh cache prepares for the same inputs.
 func TestStagedPipelineMatchesInstrument(t *testing.T) {
 	suite, err := phasetune.Suite()
 	if err != nil {
@@ -178,7 +179,8 @@ func TestStagedPipelineMatchesInstrument(t *testing.T) {
 	p := suite[0].Prog
 	cost := phasetune.DefaultCost()
 
-	img, stats, err := phasetune.Instrument(p, phasetune.BestParams(), phasetune.DefaultTyping(), cost)
+	ref, err := phasetune.NewImageCache().Get(p,
+		phasetune.ImageSpec{Params: phasetune.BestParams(), Typing: phasetune.DefaultTyping()}, cost)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,11 +192,11 @@ func TestStagedPipelineMatchesInstrument(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if art.Stats != stats {
-		t.Errorf("staged stats %+v != one-shot stats %+v", art.Stats, stats)
+	if art.Stats != ref.Stats {
+		t.Errorf("staged stats %+v != cached stats %+v", art.Stats, ref.Stats)
 	}
-	if art.Image.NumMarks() != img.NumMarks() {
-		t.Errorf("staged image has %d marks, one-shot %d", art.Image.NumMarks(), img.NumMarks())
+	if art.Image.NumMarks() != ref.Image.NumMarks() {
+		t.Errorf("staged image has %d marks, cached %d", art.Image.NumMarks(), ref.Image.NumMarks())
 	}
 
 	// One analysis serves multiple techniques.
