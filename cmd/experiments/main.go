@@ -7,7 +7,7 @@
 //	             switchcost|typing|threecore|showdown|window|breakdown|
 //	             serving|contention|ablations]
 //	            [-slots N] [-duration SEC] [-seeds a,b,c] [-quick]
-//	            [-workers N] [-shards N] [-cachestats] [-ledger]
+//	            [-workers N] [-cachestats] [-ledger]
 //	            [-alts a,b,c] [-windows a,b,c] [-benchout FILE]
 //	            [-cpuprofile FILE] [-memprofile FILE]
 //
@@ -16,10 +16,8 @@
 // All drivers run on the concurrent sweep engine with one shared artifact
 // cache for the whole invocation: -workers bounds the pool (0 = GOMAXPROCS)
 // and -cachestats reports how often the static pipeline was actually run.
-// -shards N routes every sweep through the distributed fabric with N local
-// workers instead of the in-process pool — results are byte-identical, and
-// the same campaigns can be served to real worker processes with
-// cmd/sweepd.
+// The same campaigns run on the distributed fabric through cmd/sweepd,
+// whose -verify flag checks them byte-identical to these sequential runs.
 //
 // -run breakdown maps the misprediction cost of reactive detection: the
 // synthetic alternation-rate axis (-alts, alternation counts) against the
@@ -97,7 +95,6 @@ func main() {
 	seedsFlag := flag.String("seeds", "", "comma-separated workload seeds (default 5,42,99)")
 	quick := flag.Bool("quick", false, "shrink workloads for a fast pass")
 	workers := flag.Int("workers", 0, "sweep worker pool size (0 = GOMAXPROCS)")
-	shards := flag.Int("shards", 0, "route sweeps through the distributed fabric with N local workers")
 	cachestats := flag.Bool("cachestats", false, "print artifact cache statistics at exit")
 	altsFlag := flag.String("alts", "", "breakdown: comma-separated alternation counts (default 4,16,64,256,1024,4096)")
 	windowsFlag := flag.String("windows", "", "breakdown: comma-separated window sizes in instructions (default 2000,4000,8000,16000,32000)")
@@ -147,33 +144,12 @@ func main() {
 		servingOpts.trace = *traceFlag
 	}
 
-	cfg, err := experiments.Default()
+	cfg, err := experiments.FlagConfig(*quick, *slots, *duration, *seedsFlag)
 	if err != nil {
 		fatal(err)
 	}
-	if *quick {
-		cfg = cfg.Scale(8, 200, []uint64{5})
-	}
-	if *slots > 0 {
-		cfg.Slots = *slots
-	}
-	if *duration > 0 {
-		cfg.DurationSec = *duration
-	}
 	cfg.Workers = *workers
-	cfg.Shards = *shards
 	cfg.Ledger = *ledgerFlag
-	if *seedsFlag != "" {
-		var seeds []uint64
-		for _, s := range strings.Split(*seedsFlag, ",") {
-			v, err := strconv.ParseUint(strings.TrimSpace(s), 10, 64)
-			if err != nil {
-				fatal(fmt.Errorf("bad seed %q: %w", s, err))
-			}
-			seeds = append(seeds, v)
-		}
-		cfg.Seeds = seeds
-	}
 	if *altsFlag != "" {
 		for _, s := range strings.Split(*altsFlag, ",") {
 			v, err := strconv.Atoi(strings.TrimSpace(s))

@@ -51,15 +51,12 @@ import (
 	osexec "os/exec"
 	"runtime"
 	"runtime/pprof"
-	"strconv"
-	"strings"
 	"time"
 
 	"phasetune/internal/amp"
 	"phasetune/internal/dist"
 	"phasetune/internal/experiments"
 	"phasetune/internal/sim"
-	"phasetune/internal/workload"
 )
 
 func main() {
@@ -120,35 +117,6 @@ type coordOpts struct {
 	verify                              bool
 }
 
-// config assembles the experiment configuration the campaign is cut from.
-func config(o coordOpts) (experiments.Config, error) {
-	cfg, err := experiments.Default()
-	if err != nil {
-		return cfg, err
-	}
-	if o.quick {
-		cfg = cfg.Scale(8, 200, []uint64{5})
-	}
-	if o.slots > 0 {
-		cfg.Slots = o.slots
-	}
-	if o.duration > 0 {
-		cfg.DurationSec = o.duration
-	}
-	if o.seeds != "" {
-		var seeds []uint64
-		for _, s := range strings.Split(o.seeds, ",") {
-			v, err := strconv.ParseUint(strings.TrimSpace(s), 10, 64)
-			if err != nil {
-				return cfg, fmt.Errorf("bad seed %q: %w", s, err)
-			}
-			seeds = append(seeds, v)
-		}
-		cfg.Seeds = seeds
-	}
-	return cfg, nil
-}
-
 // parseMachine resolves the -machine flag.
 func parseMachine(name string) (*amp.Machine, error) {
 	switch name {
@@ -198,7 +166,7 @@ func buildCampaign(o coordOpts, cfg experiments.Config) (dist.Campaign, error) {
 }
 
 func runCoordinator(o coordOpts) error {
-	cfg, err := config(o)
+	cfg, err := experiments.FlagConfig(o.quick, o.slots, o.duration, o.seeds)
 	if err != nil {
 		return err
 	}
@@ -287,20 +255,9 @@ func runCoordinator(o coordOpts) error {
 // fabric's committed bytes match the sequential encodings exactly — the
 // deterministic-merge contract, checked end to end.
 func verifyAgainstSequential(camp dist.Campaign, raws []json.RawMessage) error {
-	var suite []*workload.Benchmark
-	cache := sim.NewImageCache()
+	host := dist.NewHost(camp.Env, nil, sim.NewImageCache(), nil)
 	for i, sp := range camp.Specs {
-		if suite == nil && sp.Queues.DrawsSuite() {
-			var err error
-			if suite, err = camp.Env.Suite(); err != nil {
-				return fmt.Errorf("verify: rebuild suite: %w", err)
-			}
-		}
-		cfg, err := camp.Env.RunConfig(sp, suite, cache)
-		if err != nil {
-			return fmt.Errorf("verify spec %d: %w", i, err)
-		}
-		res, err := sim.Run(cfg)
+		res, err := host.Run(context.Background(), sp)
 		if err != nil {
 			return fmt.Errorf("verify spec %d: %w", i, err)
 		}

@@ -25,17 +25,17 @@ var ErrNeedQueues = fmt.Errorf("distributed sweeps need serializable specs: set 
 
 // campaign lowers run specs onto the wire format: the session environment
 // plus one serializable spec per run. RunContext lowers through the same
-// env and lower, then the same EnvSpec.RunConfig a worker calls — which
-// is why the fabric's merged output is byte-identical to a local Sweep of
-// the same specs.
+// env and lower, then a dist.Host like the one a worker holds — which is
+// why the fabric's merged output is byte-identical to a local Sweep of the
+// same specs.
 func (s *Session) campaign(specs []RunSpec) (dist.Campaign, error) {
 	camp := dist.Campaign{Env: s.env(), Specs: make([]dist.Spec, len(specs))}
 	for i, spec := range specs {
-		sp, serializable, err := s.lower(spec)
+		sp, err := s.lower(spec)
 		if err != nil {
 			return dist.Campaign{}, fmt.Errorf("spec %d: %w", i, err)
 		}
-		if !serializable {
+		if spec.Queues == nil && spec.Arrivals == nil {
 			return dist.Campaign{}, fmt.Errorf("spec %d: %w", i, ErrNeedQueues)
 		}
 		camp.Specs[i] = sp

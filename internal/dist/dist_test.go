@@ -63,18 +63,10 @@ func testCampaign() Campaign {
 // byte for byte.
 func sequentialRaw(t testing.TB, camp Campaign) []json.RawMessage {
 	t.Helper()
-	suite, err := camp.Env.Suite()
-	if err != nil {
-		t.Fatalf("suite: %v", err)
-	}
-	cache := sim.NewImageCache()
+	host := NewHost(camp.Env, nil, sim.NewImageCache(), nil)
 	out := make([]json.RawMessage, len(camp.Specs))
 	for i, sp := range camp.Specs {
-		cfg, err := camp.Env.RunConfig(sp, suite, cache)
-		if err != nil {
-			t.Fatalf("sequential spec %d: %v", i, err)
-		}
-		res, err := sim.RunContext(context.Background(), cfg)
+		res, err := host.Run(context.Background(), sp)
 		if err != nil {
 			t.Fatalf("sequential spec %d: %v", i, err)
 		}
@@ -258,15 +250,7 @@ func oneSpecCoordinator(t *testing.T) (*Coordinator, *fakeClock, *LeaseReply, *L
 // runSpecRaw executes one spec of the campaign directly.
 func runSpecRaw(t *testing.T, camp Campaign, idx int) json.RawMessage {
 	t.Helper()
-	suite, err := camp.Env.Suite()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg, err := camp.Env.RunConfig(camp.Specs[idx], suite, sim.NewImageCache())
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := sim.RunContext(context.Background(), cfg)
+	res, err := NewHost(camp.Env, nil, sim.NewImageCache(), nil).Run(context.Background(), camp.Specs[idx])
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,11 +9,12 @@
 // *recipes*. A Campaign carries the serialized environment (machine, cost
 // model, scheduler, typing — EnvSpec) plus one wire Spec per run (workload
 // construction parameters, mode, technique, tuning, online config, seed).
-// A worker rebuilds the benchmark suite from the environment — suite
-// generation is deterministic in (cost, machine), and the synthetic
-// alternation-rate workloads of the breakdown map regenerate the same way
-// (workload.Spec.Materialize) — executes its leased specs, and commits
-// each result in a canonical encoding. Merging is then trivially
+// A worker runs its leased specs through a Host (host.go), which rebuilds
+// the benchmark suite from the environment — suite generation is
+// deterministic in (cost, machine), and the synthetic alternation-rate
+// workloads of the breakdown map regenerate the same way
+// (workload.Spec.Materialize) — and commits each result in a canonical
+// encoding. Merging is then trivially
 // deterministic: results are keyed by spec index, and any two successful
 // executions of the same index commit identical bytes, so the coordinator
 // can accept the first commit and reject duplicates without ever comparing
@@ -109,18 +110,11 @@ func (e *EnvSpec) Validate() error {
 	return nil
 }
 
-// Suite rebuilds the benchmark suite for this environment. Suite
-// generation is a pure function of (cost, machine), so every worker
-// regenerates programs bit-identical to the coordinator's.
-func (e *EnvSpec) Suite() ([]*workload.Benchmark, error) {
-	m := e.Machine
-	return workload.Suite(e.Cost, &m)
-}
-
 // Spec is one run of a campaign in wire form: sim.RunConfig minus the
 // shared environment and minus anything process-local (built workloads,
 // caches, hooks). The workload travels as its construction parameters
-// (workload.Spec); together with an EnvSpec it lowers to a RunConfig.
+// (workload.Spec); a Host of the campaign's EnvSpec lowers it to a
+// RunConfig.
 type Spec struct {
 	// Queues describes the workload by construction — a suite draw; the
 	// synthetic alternation-rate axis when Queues.Alternations > 0; or the
@@ -152,52 +146,6 @@ type Spec struct {
 	// other Result field). Per-spec rather than campaign-wide: only the
 	// contention cells of a grid read it.
 	CacheStats bool `json:"cache_stats,omitempty"`
-}
-
-// RunConfig lowers a wire spec onto the environment: the one place a
-// Queues or Arrivals workload is materialized and spec fields are copied
-// into a sim.RunConfig, for fabric workers and local sessions alike. The
-// machine, cost, and scheduler are copied so the returned config is
-// self-contained. suite must be the environment's suite (EnvSpec.Suite or
-// an equal generation); only suite draws read it, so callers may pass nil
-// for alternation, fleet and arrivals specs, which regenerate their
-// workload from (cost, machine) instead. Process-local attachments (cost
-// tables, events, tracer) are the caller's to set.
-func (e EnvSpec) RunConfig(sp Spec, suite []*workload.Benchmark, cache *sim.ImageCache) (sim.RunConfig, error) {
-	m := e.Machine
-	cost := e.Cost
-	sched := e.Sched
-	var w *workload.Workload
-	var stream *workload.Stream
-	var err error
-	if sp.Queues.Arrivals != nil {
-		// Open-system serving spec: the worker regenerates the serving
-		// fleet and the arrival schedule from (cost, machine, spec, seed),
-		// both pure functions, exactly as it regenerates the suite.
-		stream, err = sp.Queues.MaterializeOpen(cost, &m)
-	} else {
-		w, err = sp.Queues.Materialize(suite, cost, &m)
-	}
-	if err != nil {
-		return sim.RunConfig{}, fmt.Errorf("dist: materialize workload: %w", err)
-	}
-	return sim.RunConfig{
-		Machine: &m, Cost: &cost, Sched: &sched,
-		Workload:    w,
-		Stream:      stream,
-		DurationSec: sp.DurationSec,
-		Mode:        sp.Mode,
-		Params:      sp.Params,
-		Tuning:      sp.Tuning,
-		Online:      sp.Online,
-		Placement:   sp.Placement,
-		TypingOpts:  e.Typing,
-		TypingError: sp.TypingError,
-		Seed:        sp.Seed,
-		Cache:       cache,
-		Ledger:      e.Ledger,
-		CacheStats:  sp.CacheStats,
-	}, nil
 }
 
 // Campaign is a complete distributable sweep: one environment plus the run

@@ -9,24 +9,21 @@ import (
 
 	"phasetune/internal/exec"
 	"phasetune/internal/sim"
-	"phasetune/internal/workload"
 )
 
 // errCrashed reports a test-hook-induced worker loss.
 var errCrashed = errors.New("dist: worker crashed (test hook)")
 
-// Worker executes leases from a coordinator. It registers once, rebuilds
-// the session environment from the coordinator's EnvSpec, and then loops:
-// lease, run, commit. The suite is generated at the first spec that draws
-// from it, so serving, alternation and fleet campaigns never pay for it.
-// One artifact cache and one cost-table store live for the worker's whole
-// lifetime, so each distinct (benchmark, technique) image is prepared once
-// per worker no matter how many leases touch it, and block cost tables
-// built for one lease price later ones — the warm-cache property that
-// makes long campaigns cheap.
-// Both are strictly worker-local: neither changes a result (DESIGN.md
-// §13), so sharded merges stay byte-identical without either ever
-// crossing the wire.
+// Worker executes leases from a coordinator. It registers once, builds a
+// Host for the coordinator's EnvSpec, and then loops: lease, run, commit.
+// The host lives for the worker's whole lifetime, so the suite is
+// generated at most once (and only if a spec draws from it), each distinct
+// (benchmark, technique) image is prepared once per worker no matter how
+// many leases touch it, and block cost tables built for one lease price
+// later ones — the warm-cache property that makes long campaigns cheap.
+// All of it is strictly worker-local: none of it changes a result
+// (DESIGN.md §13), so sharded merges stay byte-identical without any of
+// it ever crossing the wire.
 type Worker struct {
 	// Name labels the worker at registration (shows up in worker IDs).
 	Name string
@@ -54,9 +51,7 @@ func (w *Worker) Run(ctx context.Context) error {
 	if err := reg.Env.Validate(); err != nil {
 		return err
 	}
-	var suite []*workload.Benchmark
-	cache := sim.NewImageCache()
-	tables := exec.NewCostTables()
+	host := NewHost(reg.Env, nil, sim.NewImageCache(), exec.NewCostTables())
 
 	// Heartbeat at a third of the lease TTL for as long as the worker
 	// lives, so healthy-but-slow runs never lose their lease.
@@ -88,7 +83,7 @@ func (w *Worker) Run(ctx context.Context) error {
 			if len(lr.Specs) != len(lr.Indices) {
 				return fmt.Errorf("dist: lease %s: %d specs for %d indices", lr.LeaseID, len(lr.Specs), len(lr.Indices))
 			}
-			if err := w.runLease(ctx, reg, &suite, cache, tables, lr, &runs); err != nil {
+			if err := w.runLease(ctx, reg, host, lr, &runs); err != nil {
 				return err
 			}
 		default:
@@ -97,28 +92,10 @@ func (w *Worker) Run(ctx context.Context) error {
 	}
 }
 
-// runLease executes and commits one lease's specs in order, generating
-// *suite at the first spec that draws from it.
-func (w *Worker) runLease(ctx context.Context, reg *RegisterReply, suite *[]*workload.Benchmark,
-	cache *sim.ImageCache, tables *exec.CostTables, lr *LeaseReply, runs *int) error {
-
+// runLease executes and commits one lease's specs in order.
+func (w *Worker) runLease(ctx context.Context, reg *RegisterReply, host *Host, lr *LeaseReply, runs *int) error {
 	for k, idx := range lr.Indices {
-		sp := lr.Specs[k]
-		var rerr error
-		if *suite == nil && sp.Queues.DrawsSuite() {
-			if *suite, rerr = reg.Env.Suite(); rerr != nil {
-				rerr = fmt.Errorf("rebuild suite: %w", rerr)
-			}
-		}
-		var cfg sim.RunConfig
-		if rerr == nil {
-			cfg, rerr = reg.Env.RunConfig(sp, *suite, cache)
-		}
-		cfg.Tables = tables
-		var res *sim.Result
-		if rerr == nil {
-			res, rerr = sim.RunContext(ctx, cfg)
-		}
+		res, rerr := host.Run(ctx, lr.Specs[k])
 		if rerr != nil {
 			if ctx.Err() != nil {
 				return ctx.Err()

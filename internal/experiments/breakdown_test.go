@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"testing"
 
@@ -63,7 +64,7 @@ func TestBreakdownShape(t *testing.T) {
 }
 
 // TestBreakdownGridShardsByteIdentical is the breakdown's determinism pin:
-// the same grid through the fabric (Config.Shards) and through the local
+// the same grid through a two-worker in-process fabric and through the local
 // worker pool commits byte-identical results — the alternation-axis specs
 // (workload regenerated from (cost, machine) on the worker) included.
 func TestBreakdownGridShardsByteIdentical(t *testing.T) {
@@ -74,15 +75,12 @@ func TestBreakdownGridShardsByteIdentical(t *testing.T) {
 	cfg = cfg.Scale(4, 30, []uint64{5})
 	grid := breakdownGrid(cfg, []int{16, 1024}, []uint64{8000})
 
-	local := cfg
-	want, err := local.sweep(grid)
+	want, err := cfg.sweep(grid)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fabric := cfg
-	fabric.Cache = nil // workers bring their own caches
-	fabric.Shards = 2
-	got, err := fabric.sweep(grid)
+	got, err := dist.RunLocal(context.Background(), dist.Campaign{Env: cfg.Env(), Specs: grid},
+		dist.LocalOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -136,7 +136,7 @@ func TestContentionLedgerConservationPriced(t *testing.T) {
 				} else {
 					spec = contentionRunCfg(mcfg, ContentionCell{Policy: p, Priced: true}, mcfg.Seeds[0])
 				}
-				rc, err := mcfg.Env().RunConfig(spec, mcfg.Suite, nil)
+				rc, err := dist.NewHost(mcfg.Env(), mcfg.Suite, nil, nil).RunConfig(spec)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -234,7 +234,7 @@ func TestContentionShardedMergeByteIdentical(t *testing.T) {
 
 	var seq [][]byte
 	for _, sp := range grid {
-		rc, err := camp.Env.RunConfig(sp, cfg.Suite, nil)
+		rc, err := dist.NewHost(camp.Env, cfg.Suite, nil, nil).RunConfig(sp)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -269,11 +269,10 @@ func TestContentionShardedMergeByteIdentical(t *testing.T) {
 	// A shared cost-table store must be invisible to the priced path too.
 	tables := exec.NewCostTables()
 	for i, sp := range grid {
-		rc, err := camp.Env.RunConfig(sp, cfg.Suite, nil)
+		rc, err := dist.NewHost(camp.Env, cfg.Suite, nil, tables).RunConfig(sp)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rc.Tables = tables
 		res, err := sim.Run(rc)
 		if err != nil {
 			t.Fatal(err)

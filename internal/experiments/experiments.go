@@ -16,6 +16,8 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"strconv"
+	"strings"
 
 	"phasetune/internal/amp"
 	"phasetune/internal/dist"
@@ -54,19 +56,12 @@ type Config struct {
 	Tuning tuning.Config
 	// Workers bounds concurrent runs in sweeps (<=0 uses GOMAXPROCS).
 	Workers int
-	// Shards, when > 1, routes every sweep through the distributed fabric
-	// (internal/dist) with that many in-process workers instead of the
-	// local worker pool. Results are byte-identical either way; the fabric
-	// path additionally exercises spec serialization and gives each worker
-	// its own artifact cache, exactly as separate processes would.
-	Shards int
 	// Cache is the shared artifact cache; every driver's image
 	// preparations go through it.
 	Cache *sim.ImageCache
 	// Tables is the shared block cost-table store: a campaign's policy
 	// columns and seeds price each (image, core type, cache share) from
-	// one table built once. Sharing never changes a result. Sharded sweeps
-	// ignore it (workers attach their own).
+	// one table built once. Sharing never changes a result.
 	Tables *exec.CostTables
 	// Ledger enables conserved cycle accounting on every run of every
 	// driver (sim.RunConfig.Ledger via the environment wire form). The
@@ -91,7 +86,7 @@ func Default() (Config, error) {
 		QueueLen:    256,
 		DurationSec: 800,
 		Seeds:       []uint64{5, 42, 99},
-		Typing:      phase.Options{K: 2, MinBlockInstrs: 5},
+		Typing:      phase.DefaultOptions(),
 		Tuning:      tuning.DefaultConfig(),
 		Cache:       sim.NewImageCache(),
 		Tables:      exec.NewCostTables(),
@@ -142,22 +137,18 @@ func (c *Config) runCfg(mode sim.Mode, params transition.Params, tcfg tuning.Con
 	}
 }
 
-// sweep executes the grid: through the distributed fabric when Shards > 1,
-// otherwise across the local worker pool with the shared artifact cache.
-// Results come back in input order and are byte-identical either way.
+// sweep executes the grid across the local worker pool, every cell
+// lowered by one host of the config environment that shares the
+// campaign's suite, artifact cache and cost tables. Results come back in
+// input order, byte-identical to the same campaign on the fabric.
 func (c *Config) sweep(grid []dist.Spec) ([]*sim.Result, error) {
-	if c.Shards > 1 {
-		return dist.RunLocal(context.Background(), dist.Campaign{Env: c.Env(), Specs: grid},
-			dist.LocalOptions{Workers: c.Shards})
-	}
-	env, cache, tables := c.Env(), c.cache(), c.tables()
+	host := dist.NewHost(c.Env(), c.Suite, c.cache(), c.tables())
 	cfgs := make([]sim.RunConfig, len(grid))
 	for i := range grid {
-		cfg, err := env.RunConfig(grid[i], c.Suite, cache)
+		cfg, err := host.RunConfig(grid[i])
 		if err != nil {
 			return nil, err
 		}
-		cfg.Tables = tables
 		cfgs[i] = cfg
 	}
 	return sim.Sweep(context.Background(), cfgs, sim.SweepOptions{Workers: c.Workers})
@@ -189,6 +180,37 @@ func (c Config) Scale(slots int, durationSec float64, seeds []uint64) Config {
 	c.DurationSec = durationSec
 	c.Seeds = seeds
 	return c
+}
+
+// FlagConfig is the configuration the commands build from their shared
+// flags: Default, shrunk by quick to 8 slots, 200 s and seed 5, then
+// overridden by a positive slots or durationSec and a non-empty
+// comma-separated seeds list.
+func FlagConfig(quick bool, slots int, durationSec float64, seeds string) (Config, error) {
+	cfg, err := Default()
+	if err != nil {
+		return cfg, err
+	}
+	if quick {
+		cfg = cfg.Scale(8, 200, []uint64{5})
+	}
+	if slots > 0 {
+		cfg.Slots = slots
+	}
+	if durationSec > 0 {
+		cfg.DurationSec = durationSec
+	}
+	if seeds != "" {
+		cfg.Seeds = nil
+		for _, s := range strings.Split(seeds, ",") {
+			v, err := strconv.ParseUint(strings.TrimSpace(s), 10, 64)
+			if err != nil {
+				return cfg, fmt.Errorf("bad seed %q: %w", s, err)
+			}
+			cfg.Seeds = append(cfg.Seeds, v)
+		}
+	}
+	return cfg, nil
 }
 
 // TechniqueGrid returns the paper's 18 technique variants (Table 2, Figs.

@@ -68,7 +68,7 @@ func TestLedgerConservation(t *testing.T) {
 					// overcommit dispatcher's slicing path gets charged.
 					spec = servingRunCfg(mcfg, p, 1.25, mcfg.Seeds[0])
 				}
-				rc, err := mcfg.Env().RunConfig(spec, mcfg.Suite, nil)
+				rc, err := dist.NewHost(mcfg.Env(), mcfg.Suite, nil, nil).RunConfig(spec)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -118,7 +118,7 @@ func TestLedgerShardedMergeByteIdentical(t *testing.T) {
 
 	var seq []*sim.Result
 	for _, sp := range grid {
-		rc, err := camp.Env.RunConfig(sp, mcfg.Suite, nil)
+		rc, err := dist.NewHost(camp.Env, mcfg.Suite, nil, nil).RunConfig(sp)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -218,7 +218,8 @@ func ShowdownCampaign(cfg Config, machine *amp.Machine) dist.Campaign {
 // ShowdownPolicies order; every improvement column is relative to the same
 // machine's ShowdownNone row. All runs of a machine share workload queues
 // per seed (the paper's comparison protocol) and sweep concurrently over
-// the shared artifact cache — or across the fabric when cfg.Shards > 1.
+// the shared artifact cache; ShowdownCampaign serves the same grid to the
+// fabric.
 func Showdown(cfg Config, machines []*amp.Machine) ([]ShowdownRow, error) {
 	if machines == nil {
 		machines = ShowdownMachines()

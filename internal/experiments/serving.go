@@ -144,7 +144,7 @@ func ServingTraceRun(cfg Config, tr *trace.Tracer) (serve.Stats, error) {
 	machine := ServingMachines()[0]
 	mcfg := servingConfig(cfg, machine)
 	spec := servingRunCfg(mcfg, ShowdownHybrid, 1.0, mcfg.Seeds[0])
-	rc, err := mcfg.Env().RunConfig(spec, mcfg.Suite, nil)
+	rc, err := dist.NewHost(mcfg.Env(), mcfg.Suite, nil, nil).RunConfig(spec)
 	if err != nil {
 		return serve.Stats{}, err
 	}

@@ -74,8 +74,8 @@ func WindowCampaign(cfg Config, windows []uint64, policies []online.PolicyKind) 
 }
 
 // WindowSweep sweeps the online detector's window size per policy against
-// per-seed baselines. The whole grid runs on the sweep engine, so
-// cfg.Shards fans it across fabric workers unchanged.
+// per-seed baselines. The whole grid runs on the sweep engine as wire
+// specs, so WindowCampaign serves it to fabric workers unchanged.
 func WindowSweep(cfg Config, windows []uint64, policies []online.PolicyKind) ([]WindowRow, error) {
 	if windows == nil {
 		windows = DefaultWindowGrid()

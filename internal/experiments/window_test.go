@@ -2,9 +2,11 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"testing"
 
+	"phasetune/internal/dist"
 	"phasetune/internal/online"
 )
 
@@ -50,22 +52,19 @@ func TestWindowSweepShape(t *testing.T) {
 }
 
 // TestSweepShardsMatchesLocalPool is the experiments-layer determinism
-// check: the same grid through the fabric (Shards) and through the local
-// worker pool yields byte-identical results.
+// check: the same grid through a two-worker in-process fabric and through
+// the local worker pool yields byte-identical results.
 func TestSweepShardsMatchesLocalPool(t *testing.T) {
 	cfg := windowConfig(t)
 	grid := windowGrid(cfg, []uint64{8000}, []online.PolicyKind{online.Probe})
 	grid = append(grid, showdownGrid(cfg)[:2]...) // add none + static cells
 
-	local := cfg
-	want, err := local.sweep(grid)
+	want, err := cfg.sweep(grid)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fabric := cfg
-	fabric.Cache = nil // workers bring their own caches
-	fabric.Shards = 2
-	got, err := fabric.sweep(grid)
+	got, err := dist.RunLocal(context.Background(), dist.Campaign{Env: cfg.Env(), Specs: grid},
+		dist.LocalOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -145,6 +145,10 @@ func (o Options) Normalized() Options {
 	return o
 }
 
+// DefaultOptions returns the standard typing options: the normalized zero
+// value (2 phase types, 5-instruction blocks).
+func DefaultOptions() Options { return Options{}.Normalized() }
+
 // DefaultMergeEps is the default centroid-merge distance. Features live in
 // [0,1]^2; genuinely distinct behaviors (compute vs. memory) sit >= 0.3
 // apart, while k-means splits of a single behavioral cloud land around

@@ -742,10 +742,11 @@ type Spec struct {
 }
 
 // DrawsSuite reports whether the spec draws its workload from the
-// benchmark suite: no arrivals, no alternation axis, no named fleet. Only
-// such specs read a suite, so callers generate one for them alone.
+// benchmark suite: at least one slot, no arrivals, no alternation axis, no
+// named fleet. Only such specs read a suite, so callers generate one for
+// them alone.
 func (s Spec) DrawsSuite() bool {
-	return s.Arrivals == nil && s.Alternations <= 0 && s.Fleet == ""
+	return s.Slots > 0 && s.Arrivals == nil && s.Alternations <= 0 && s.Fleet == ""
 }
 
 // Build materializes the workload against a suite. It serves only the

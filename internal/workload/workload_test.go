@@ -328,7 +328,8 @@ func TestSpecDrawsSuite(t *testing.T) {
 		spec Spec
 		want bool
 	}{
-		{"zero", Spec{}, true},
+		{"zero", Spec{}, false},
+		{"zero slots", Spec{QueueLen: 8, Seed: 3}, false},
 		{"suite draw", Spec{Slots: 4, QueueLen: 8, Seed: 3}, true},
 		{"negative alternations", Spec{Slots: 4, Alternations: -1}, true},
 		{"alternation axis", Spec{Slots: 4, Alternations: 8}, false},

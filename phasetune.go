@@ -148,7 +148,7 @@ const (
 func BestParams() TechniqueParams { return experiments.BestParams() }
 
 // DefaultTyping returns the standard typing options (k = 2 phase types).
-func DefaultTyping() TypingOptions { return phase.Options{K: 2, MinBlockInstrs: 5} }
+func DefaultTyping() TypingOptions { return phase.DefaultOptions() }
 
 // Dynamic tuning.
 type (

@@ -3,13 +3,11 @@ package phasetune
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"phasetune/internal/dist"
 	"phasetune/internal/exec"
 	"phasetune/internal/perfcnt"
 	"phasetune/internal/sim"
-	"phasetune/internal/workload"
 )
 
 // Policy selects how a run places processes on the asymmetric cores — the
@@ -110,18 +108,15 @@ type Session struct {
 	online    OnlineConfig
 	placement PlacementConfig
 	policy    Policy
-	cache     *ImageCache
-	tables    *exec.CostTables // nil: each run builds private tables
 	workers   int
 	events    Events
 	tracer    *Tracer
 	ledger    bool
 
-	// suiteOnce lazily generates the benchmark suite for (cost, machine),
-	// shared by every run whose spec describes its workload as Queues.
-	suiteOnce sync.Once
-	suite     []*Benchmark
-	suiteErr  error
+	// host owns what every run of the session shares: the benchmark suite
+	// (generated at the first run that draws from it), the artifact cache
+	// and the cost-table store (nil under WithoutSegmentMemo).
+	host *dist.Host
 }
 
 // Events holds optional per-run observation hooks (see sim.Events).
@@ -179,14 +174,18 @@ func WithPlacement(c PlacementConfig) SessionOption { return func(s *Session) { 
 // WithCache shares an existing artifact cache (default: a fresh cache).
 // Pass the same cache to several sessions to share prepared images across
 // machines — images depend only on program content and the cost model.
-func WithCache(c *ImageCache) SessionOption { return func(s *Session) { s.cache = c } }
+func WithCache(c *ImageCache) SessionOption {
+	return func(s *Session) { s.host = dist.NewHost(dist.EnvSpec{}, nil, c, s.host.Tables()) }
+}
 
 // WithoutSegmentMemo gives each of the session's runs private block cost
 // tables instead of the session's shared store, so no table built by one
 // run prices another. Results are byte-identical either way; the switch
 // exists to A/B-test table sharing. The name predates the removal of the
 // segment memo, whose place the shared tables took.
-func WithoutSegmentMemo() SessionOption { return func(s *Session) { s.tables = nil } }
+func WithoutSegmentMemo() SessionOption {
+	return func(s *Session) { s.host = dist.NewHost(dist.EnvSpec{}, nil, s.host.Cache(), nil) }
+}
 
 // WithWorkers bounds the sweep worker pool (default: GOMAXPROCS).
 func WithWorkers(n int) SessionOption { return func(s *Session) { s.workers = n } }
@@ -230,25 +229,27 @@ func NewSession(opts ...SessionOption) *Session {
 		tuning:    DefaultTuning(),
 		online:    DefaultOnline(),
 		placement: DefaultPlacement(),
-		cache:     NewImageCache(),
-		tables:    exec.NewCostTables(),
+		host:      dist.NewHost(dist.EnvSpec{}, nil, NewImageCache(), exec.NewCostTables()),
 	}
 	for _, opt := range opts {
 		opt(s)
 	}
+	// Options settle the cache and tables on an unbound host; bind them to
+	// the environment the options settled on.
+	s.host = dist.NewHost(s.env(), nil, s.host.Cache(), s.host.Tables())
 	return s
 }
 
 // Cache returns the session's artifact cache (for stats or sharing).
-func (s *Session) Cache() *ImageCache { return s.cache }
+func (s *Session) Cache() *ImageCache { return s.host.Cache() }
 
 // CacheStats reports the session cache's hit/miss counters.
-func (s *Session) CacheStats() CacheStats { return s.cache.Stats() }
+func (s *Session) CacheStats() CacheStats { return s.host.Cache().Stats() }
 
 // MemoStats reports the session's shared cost-table store: tables built
 // and lane lookup hits (see MemoStats). The zero value is returned under
 // WithoutSegmentMemo.
-func (s *Session) MemoStats() MemoStats { return s.tables.Stats() }
+func (s *Session) MemoStats() MemoStats { return s.host.Tables().Stats() }
 
 // RunSpec configures one run within a session. Zero values inherit the
 // session defaults; only what varies per run needs to be set.
@@ -304,21 +305,20 @@ type RunSpec struct {
 // becomes run parameters: the spec's Policy wins, then an explicit legacy
 // Mode, then the session policy, then legacy Baseline; nil overrides
 // inherit the session defaults; and the workload travels as construction
-// parameters. serializable reports whether the spec describes its
-// workload by Queues or Arrivals — false for a built Workload or no
-// workload at all. A spec that sets two workload forms is rejected.
-func (s *Session) lower(spec RunSpec) (sp dist.Spec, serializable bool, err error) {
+// parameters (the zero Queues when the spec carries a built Workload or
+// none). A spec that sets two workload forms is rejected.
+func (s *Session) lower(spec RunSpec) (dist.Spec, error) {
 	queues := spec.Queues
 	if spec.Workload != nil && queues != nil {
-		return dist.Spec{}, false, fmt.Errorf("phasetune: RunSpec.Workload and RunSpec.Queues are mutually exclusive")
+		return dist.Spec{}, fmt.Errorf("phasetune: RunSpec.Workload and RunSpec.Queues are mutually exclusive")
 	}
 	if spec.Arrivals != nil {
 		if spec.Workload != nil || queues != nil {
-			return dist.Spec{}, false, fmt.Errorf("phasetune: RunSpec.Arrivals is mutually exclusive with Workload and Queues")
+			return dist.Spec{}, fmt.Errorf("phasetune: RunSpec.Arrivals is mutually exclusive with Workload and Queues")
 		}
 		queues = &WorkloadSpec{Seed: spec.Seed, Arrivals: spec.Arrivals}
 	}
-	sp = dist.Spec{
+	sp := dist.Spec{
 		DurationSec: spec.DurationSec,
 		Mode:        spec.Mode,
 		Params:      spec.Params,
@@ -347,11 +347,10 @@ func (s *Session) lower(spec RunSpec) (sp dist.Spec, serializable bool, err erro
 			sp.Params = BestParams()
 		}
 	}
-	serializable = queues != nil
-	if serializable {
+	if queues != nil {
 		sp.Queues = *queues
 	}
-	return sp, serializable, nil
+	return sp, nil
 }
 
 // env is the session environment in wire form. Local runs lower through
@@ -364,37 +363,25 @@ func (s *Session) env() dist.EnvSpec {
 // Suite returns the benchmark suite for the session's cost model and
 // machine, generated once per session and reused. Queues-based run specs
 // build their workloads against it.
-func (s *Session) Suite() ([]*Benchmark, error) {
-	s.suiteOnce.Do(func() {
-		s.suite, s.suiteErr = workload.Suite(s.cost, s.machine)
-	})
-	return s.suite, s.suiteErr
-}
+func (s *Session) Suite() ([]*Benchmark, error) { return s.host.Suite() }
 
-// runConfig lowers a spec onto the session environment, attaching the
-// session's process-local artifact cache, cost tables, events and tracer.
+// runConfig lowers a spec through the session host, which attaches the
+// session's artifact cache and cost tables; the session's events and
+// tracer are attached here.
 func (s *Session) runConfig(spec RunSpec) (sim.RunConfig, error) {
-	sp, serializable, err := s.lower(spec)
+	sp, err := s.lower(spec)
 	if err != nil {
 		return sim.RunConfig{}, err
 	}
-	// Only suite draws read the suite: open-system, alternation and fleet
-	// specs never trigger its generation.
-	var suite []*Benchmark
-	if serializable && sp.Queues.DrawsSuite() {
-		if suite, err = s.Suite(); err != nil {
-			return sim.RunConfig{}, err
-		}
-	}
-	cfg, err := s.env().RunConfig(sp, suite, s.cache)
+	cfg, err := s.host.RunConfig(sp)
 	if err != nil {
 		return sim.RunConfig{}, err
 	}
-	if !serializable {
+	if spec.Workload != nil {
 		// A built Workload replaces the empty one the zero Queues lowered to.
 		cfg.Workload = spec.Workload
 	}
-	cfg.Tables, cfg.Events, cfg.Trace = s.tables, s.events, s.tracer
+	cfg.Events, cfg.Trace = s.events, s.tracer
 	return cfg, nil
 }
 
@@ -419,7 +406,7 @@ func (s *Session) Run(spec RunSpec) (*RunResult, error) {
 // through the session cache: Analyze followed by Analysis.Instrument, run
 // once per distinct (program, technique) and served from the cache after.
 func (s *Session) Instrument(p *Program, params TechniqueParams) (*Artifact, error) {
-	return s.cache.Get(p, ImageSpec{Params: params, Typing: s.typing}, s.cost)
+	return s.host.Cache().Get(p, ImageSpec{Params: params, Typing: s.typing}, s.cost)
 }
 
 // MeasureIPC runs the program to completion alone on each of the session
@@ -429,7 +416,7 @@ func (s *Session) Instrument(p *Program, params TechniqueParams) (*Artifact, err
 // prepared through the session cache; seed drives branch outcomes, so equal
 // seeds give bit-identical measurements.
 func (s *Session) MeasureIPC(p *Program, seed uint64) ([]float64, error) {
-	art, err := s.cache.Get(p, ImageSpec{Baseline: true}, s.cost)
+	art, err := s.host.Cache().Get(p, ImageSpec{Baseline: true}, s.cost)
 	if err != nil {
 		return nil, err
 	}
