@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http/httptest"
 	"sync"
 	"testing"
@@ -520,5 +521,54 @@ func TestRegisterRejectsWireVersionMismatch(t *testing.T) {
 	}
 	if _, err := coord.Register("same-build", SpecVersion); err != nil {
 		t.Errorf("coordinator rejected a matching worker: %v", err)
+	}
+}
+
+// TestBadSchedulerConfigRejected pins the guard against configurations
+// that stop simulated time: a zero period re-arms its event at the same
+// instant and a zero-cycle timeslice runs empty bursts, so a run never
+// returns. Each one must be rejected by the kernel and by the campaign
+// environment, before any worker runs it.
+func TestBadSchedulerConfigRejected(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name string
+		edit func(*osched.Config)
+	}{
+		{"zero timeslice", func(c *osched.Config) { c.TimesliceSec = 0 }},
+		{"negative timeslice", func(c *osched.Config) { c.TimesliceSec = -0.1 }},
+		{"NaN timeslice", func(c *osched.Config) { c.TimesliceSec = nan }},
+		{"infinite timeslice", func(c *osched.Config) { c.TimesliceSec = inf }},
+		{"sub-cycle timeslice", func(c *osched.Config) { c.TimesliceSec = 1e-9 }},
+		{"zero balance interval", func(c *osched.Config) { c.BalanceIntervalSec = 0 }},
+		{"sub-picosecond balance interval", func(c *osched.Config) { c.BalanceIntervalSec = 1e-15 }},
+		{"NaN balance interval", func(c *osched.Config) { c.BalanceIntervalSec = nan }},
+		{"zero sample interval", func(c *osched.Config) { c.SampleIntervalSec = 0 }},
+		{"infinite sample interval", func(c *osched.Config) { c.SampleIntervalSec = inf }},
+		{"sub-picosecond monitor interval", func(c *osched.Config) { c.MonitorIntervalSec = 1e-15 }},
+		{"NaN monitor interval", func(c *osched.Config) { c.MonitorIntervalSec = nan }},
+		{"negative core switch", func(c *osched.Config) { c.CoreSwitchCycles = -1 }},
+		{"negative context switch", func(c *osched.Config) { c.ContextSwitchCycles = -1 }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			env := testCampaign().Env
+			tc.edit(&env.Sched)
+			if err := env.Validate(); err == nil {
+				t.Error("EnvSpec.Validate accepted the config")
+			}
+			if _, err := osched.NewKernel(&env.Machine, env.Cost, env.Sched); err == nil {
+				t.Error("osched.NewKernel accepted the config")
+			}
+		})
+	}
+	// A disabled monitor is not a bad period.
+	env := testCampaign().Env
+	env.Sched.MonitorIntervalSec = 0
+	if err := env.Validate(); err != nil {
+		t.Errorf("disabled monitor rejected: %v", err)
+	}
+	if _, err := osched.NewKernel(&env.Machine, env.Cost, env.Sched); err != nil {
+		t.Errorf("disabled monitor rejected by the kernel: %v", err)
 	}
 }

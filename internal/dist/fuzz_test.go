@@ -92,6 +92,15 @@ func FuzzEnvSpecDecode(f *testing.F) {
 		}
 		f.Add(blob)
 	}
+	// An environment whose zero timeslice would stop simulated time:
+	// Validate must reject it.
+	stalled := corpusSpecs(f)[0].Env
+	stalled.Sched.TimesliceSec = 0
+	blob, err := json.Marshal(stalled)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(blob)
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`{"version":-9,"machine":{"cores":null}}`))
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -98,13 +98,16 @@ type EnvSpec struct {
 	Ledger bool `json:"ledger,omitempty"`
 }
 
-// Validate checks the environment is structurally sound and speaks this
-// build's wire version.
+// Validate checks the environment is structurally sound — machine and
+// scheduler configuration — and speaks this build's wire version.
 func (e *EnvSpec) Validate() error {
 	if e.Version != SpecVersion {
 		return fmt.Errorf("dist: env: wire version %d, this build speaks %d", e.Version, SpecVersion)
 	}
 	if err := e.Machine.Validate(); err != nil {
+		return fmt.Errorf("dist: env: %w", err)
+	}
+	if err := e.Sched.Validate(&e.Machine); err != nil {
 		return fmt.Errorf("dist: env: %w", err)
 	}
 	return nil

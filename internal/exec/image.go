@@ -21,32 +21,36 @@ const (
 	termRet
 )
 
-// blockInfo is the interpreter's precomputed view of one basic block.
+// blockInfo is the interpreter's precomputed view of one basic block. The
+// fields the stepping loop reads on every block come first.
 type blockInfo struct {
-	// baseCycles is the core-type-independent pipeline cost of the block's
-	// instructions (per-class CPI summed), excluding memory stalls.
-	baseCycles float64
+	kind      termKind
+	tripCount int32 // >0: counted loop back edge (taken tripCount-1 times)
+	taken     int32 // block ID of taken successor
+	fall      int32 // block ID of fallthrough successor (-1 none: ret/exit)
+	callee    int32 // procedure index for termCall
+	// batch indexes Image.plans when the block heads a batched counted
+	// loop (batch.go); -1 otherwise.
+	batch     int32
+	takenProb float64
 	// instrs is the retired-instruction count (phase marks excluded; they
 	// are charged via CostModel.MarkInstrs).
 	instrs int64
 	// memRefs is the retired memory-reference count per execution.
 	memRefs int64
+	// markIDs lists phase marks executed at the top of this block, in order.
+	markIDs []int32
+
+	// baseCycles is the core-type-independent pipeline cost of the block's
+	// instructions (per-class CPI summed), excluding memory stalls.
+	baseCycles float64
 	// l1MissRefs is the expected number of references per execution that
 	// miss the private L1 and reach the shared cache.
 	l1MissRefs float64
 	// profile is the block's aggregated reuse profile.
 	profile reuse.Profile
-	// markIDs lists phase marks executed at the top of this block, in order.
-	markIDs []int32
 	// syscall marks syscall special nodes (extra fixed cost).
 	syscall bool
-
-	kind      termKind
-	takenProb float64
-	tripCount int32 // >0: counted loop back edge (taken tripCount-1 times)
-	taken     int32 // block ID of taken successor
-	fall      int32 // block ID of fallthrough successor (-1 none: ret/exit)
-	callee    int32 // procedure index for termCall
 }
 
 // Image is an executable program image: the (optionally instrumented)
@@ -63,6 +67,7 @@ type Image struct {
 	Graphs []*cfg.Graph
 
 	blocks [][]blockInfo
+	plans  []batchPlan
 	entry  int32
 	memSig MemSig
 }
@@ -130,6 +135,7 @@ func NewImage(p *prog.Program, bin *instrument.Binary, cm CostModel) (*Image, er
 		img.blocks[pi] = infos
 	}
 	img.memSig = memSignature(img.blocks)
+	img.planBatches()
 	return img, nil
 }
 
@@ -158,7 +164,7 @@ func memSignature(blocks [][]blockInfo) MemSig {
 
 // summarizeBlock precomputes the interpreter view of one block.
 func summarizeBlock(b *cfg.Block, g *cfg.Graph, cm CostModel) (blockInfo, error) {
-	info := blockInfo{fall: -1, taken: -1, callee: -1}
+	info := blockInfo{fall: -1, taken: -1, callee: -1, batch: -1}
 	var memRefs int
 	for _, in := range b.Instrs {
 		if in.Op == isa.PhaseMark {

@@ -153,25 +153,27 @@ func bodyIdealPs(info *blockInfo, core *CoreParams, ic int64, shareKB float64, f
 }
 
 // execMarks runs the phase marks at the top of a block: counter and ledger
-// charges plus the tuning-runtime hook.
-func (p *Process) execMarks(info *blockInfo, core *CoreParams, coreID int, res *StepResult) {
+// charges plus the tuning-runtime hook. It returns the marks' cycles and the
+// last affinity request a hook made (0 for none).
+func (p *Process) execMarks(info *blockInfo, psPerCycle int64, coreID int) (cycles int64, want uint64) {
 	for _, mid := range info.markIDs {
 		p.Counters.Add(uint64(p.cm.MarkInstrs), uint64(p.cm.MarkCycles))
-		res.Cycles += p.cm.MarkCycles
+		cycles += p.cm.MarkCycles
 		p.MarksExecuted++
 		if p.Work != nil {
 			// The mark opens a phase: attribute the mark payload and the
 			// block body that follows to the entered phase.
 			p.Work.SetPhase(int(p.Img.MarkType(int(mid))))
-			p.Work.AddMark(p.cm.MarkCycles * core.PsPerCycle)
+			p.Work.AddMark(p.cm.MarkCycles * psPerCycle)
 		}
 		if p.Hook != nil {
 			act := p.Hook.OnMark(p, int(mid), coreID)
 			if act.Mask != 0 {
-				res.WantMask = act.Mask
+				want = act.Mask
 			}
 		}
 	}
+	return cycles, want
 }
 
 // Step executes the current basic block on a core with the given parameters
@@ -183,7 +185,7 @@ func (p *Process) Step(core *CoreParams, coreID int, shareKB float64) StepResult
 
 	// Phase marks run first: they sit at the top of the block.
 	if len(info.markIDs) > 0 {
-		p.execMarks(info, core, coreID, &res)
+		res.Cycles, res.WantMask = p.execMarks(info, core.PsPerCycle, coreID)
 	}
 
 	// Block body cost.
@@ -197,62 +199,208 @@ func (p *Process) Step(core *CoreParams, coreID int, shareKB float64) StepResult
 	}
 	res.Cycles += ic
 
-	p.advanceControl(info, &res)
+	var ok bool
+	if p.curProc, p.curBlock, ok = p.next(info, p.curProc, p.curBlock); !ok {
+		p.exit()
+		res.Exited = true
+	}
 	return res
 }
 
-// advanceControl moves the program counter past the current block.
-func (p *Process) advanceControl(info *blockInfo, res *StepResult) {
+// next returns the block control reaches after info, the block at
+// (proc, block), executes — advancing its loop counter, branch draw or call
+// stack — or false when info returns from the entry procedure.
+func (p *Process) next(info *blockInfo, proc, block int32) (int32, int32, bool) {
 	switch info.kind {
 	case termFall:
-		p.curBlock = info.fall
+		return proc, info.fall, true
 	case termBranch:
 		if info.tripCount > 0 {
 			// Counted loop: taken tripCount-1 consecutive times, then fall
 			// through once; the counter then resets for re-entry.
-			c := p.loopCounter()
-			*c++
-			if *c < info.tripCount {
-				p.curBlock = info.taken
-			} else {
-				*c = 0
-				p.curBlock = info.fall
+			c := p.loopCounter(proc, block)
+			if *c++; *c < info.tripCount {
+				return proc, info.taken, true
 			}
-		} else if p.rand.Float64() < info.takenProb {
-			p.curBlock = info.taken
-		} else {
-			p.curBlock = info.fall
+			*c = 0
+			return proc, info.fall, true
 		}
+		if p.rand.Float64() < info.takenProb {
+			return proc, info.taken, true
+		}
+		return proc, info.fall, true
 	case termCall:
-		p.stack = append(p.stack, frame{proc: p.curProc, block: info.fall})
-		p.curProc = info.callee
-		p.curBlock = 0
-	case termRet:
+		p.stack = append(p.stack, frame{proc: proc, block: info.fall})
+		return info.callee, 0, true
+	default: // termRet
 		if len(p.stack) == 0 {
-			p.exited = true
-			res.Exited = true
-			if p.Hook != nil {
-				p.Hook.OnExit(p)
-			}
-			return
+			return proc, block, false
 		}
 		top := p.stack[len(p.stack)-1]
 		p.stack = p.stack[:len(p.stack)-1]
-		p.curProc = top.proc
-		p.curBlock = top.block
+		return top.proc, top.block, true
+	}
+}
+
+// exit terminates the process and tells the hook.
+func (p *Process) exit() {
+	p.exited = true
+	if p.Hook != nil {
+		p.Hook.OnExit(p)
 	}
 }
 
 // loopCounter returns (allocating lazily) the counted-branch counter cell
-// for the current block.
-func (p *Process) loopCounter() *int32 {
+// of a block.
+func (p *Process) loopCounter(proc, block int32) *int32 {
 	if p.loopCounts == nil {
 		p.loopCounts = make([][]int32, len(p.Img.blocks))
 	}
-	if p.loopCounts[p.curProc] == nil {
-		p.loopCounts[p.curProc] = make([]int32, len(p.Img.blocks[p.curProc]))
+	if p.loopCounts[proc] == nil {
+		p.loopCounts[proc] = make([]int32, len(p.Img.blocks[proc]))
 	}
-	return &p.loopCounts[p.curProc][p.curBlock]
+	return &p.loopCounts[proc][block]
+}
+
+// BurstResult reports one dispatch burst.
+type BurstResult struct {
+	// Used is the cycles used when the burst ended: the used passed in plus
+	// every executed block's body and mark cycles.
+	Used int64
+	// Exited reports program termination.
+	Exited bool
+	// Migrate reports that a phase mark moved the affinity mask off the
+	// burst's core; the burst ended after that mark's block.
+	Migrate bool
+}
+
+// RunBurst executes the process on core coreID, pricing every block from
+// lane, for as long as used < budget — the kernel's stop rule: a burst
+// runs whole blocks until its cycles reach the budget. The burst also ends
+// on exit, and after a block whose phase mark moves *affinity off coreID.
+// *affinity is the task's mask: a mark request updates it in place, so a
+// hook later in the burst reads the current mask.
+//
+// The result equals a loop of Step calls under the same stop rule, at
+// every burst end: counters, ledger segments, control state, loop
+// counters and rng position. Where the current block heads a batched
+// loop (batch.go) and the next iteration cannot cross the budget before
+// its latch, whole iterations run at once; every other block runs one at
+// a time. The program counter and the burst's charges stay in locals;
+// the charges are published to the counters and the ledger before every
+// hook and at burst end, so a hook observes exactly the state per-step
+// execution would show it. RunBurst must not be called after the process
+// has exited.
+func (p *Process) RunBurst(lane *Lane, coreID int, used, budget int64, affinity *uint64) BurstResult {
+	var sum pathCost // charges not yet published
+	ran := false     // blocks ran since the last publish
+	proc, block := p.curProc, p.curBlock
+	infos, costs := p.Img.blocks[proc], lane.cost[proc]
+	migrate := false
+	for used < budget {
+		info := &infos[block]
+		if info.batch >= 0 {
+			if lp := &lane.batch[info.batch]; used+lp.maxPrefix < budget {
+				var batch pathCost
+				used, block, batch = p.runBatch(&p.Img.plans[info.batch], lp, used, budget)
+				sum, ran = sum.plus(batch), true
+				continue
+			}
+		}
+		var want uint64
+		if len(info.markIDs) > 0 {
+			if ran {
+				p.publish(sum, lane.par.PsPerCycle)
+				sum, ran = pathCost{}, false
+			}
+			p.curProc, p.curBlock = proc, block
+			var mc int64
+			mc, want = p.execMarks(info, lane.par.PsPerCycle, coreID)
+			used += mc
+		}
+		bc := &costs[block]
+		sum, ran = sum.plus(pathCost{uint64(info.instrs), uint64(info.memRefs), bc.ic, bc.idealPs}), true
+		used += bc.ic
+
+		if info.kind == termFall { // the commonest transfer, without the call
+			block = info.fall
+		} else {
+			nproc, nblock, ok := p.next(info, proc, block)
+			if !ok {
+				p.publish(sum, lane.par.PsPerCycle)
+				p.curProc, p.curBlock = proc, block
+				p.exit()
+				return BurstResult{Used: used, Exited: true}
+			}
+			if nproc != proc {
+				proc = nproc
+				infos, costs = p.Img.blocks[proc], lane.cost[proc]
+			}
+			block = nblock
+		}
+		if want != 0 && want != *affinity {
+			*affinity = want
+			if want&(1<<uint(coreID)) == 0 {
+				migrate = true
+				break
+			}
+		}
+	}
+	if ran {
+		p.publish(sum, lane.par.PsPerCycle)
+	}
+	p.curProc, p.curBlock = proc, block
+	return BurstResult{Used: used, Migrate: migrate}
+}
+
+// publish adds a burst's charges to the counters and, as one charge to the
+// current ledger segment, to the ledger. Callers publish only after blocks
+// ran, so a segment is opened exactly when per-step charging would open
+// one.
+func (p *Process) publish(c pathCost, psPerCycle int64) {
+	p.Counters.Add(c.instrs, uint64(c.ic))
+	p.Counters.AddMem(c.memRefs)
+	if p.Work != nil {
+		p.Work.Add(c.ic*psPerCycle, c.idealPs)
+	}
+}
+
+// runBatch runs whole iterations of a batched loop from its head, while
+// the next iteration cannot cross budget before its latch. It returns the
+// cycles used, the block control reached — the head, or the loop's exit
+// after its last trip — and the iterations' charges. Each iteration draws
+// its branches in per-step order and adds one path's sums, so a burst
+// never ends inside it.
+func (p *Process) runBatch(plan *batchPlan, lp *lanePlan, used, budget int64) (int64, int32, pathCost) {
+	cell := p.loopCounter(plan.proc, plan.latch)
+	n := *cell
+	r := *p.rand
+	var sum pathCost
+	block := plan.head
+	for {
+		ref := plan.root
+		for ref >= 0 {
+			nd := &plan.nodes[ref]
+			if r.Float64() < nd.takenProb {
+				ref = nd.taken
+			} else {
+				ref = nd.fall
+			}
+		}
+		pc := lp.paths[^ref]
+		sum = sum.plus(pc)
+		used += pc.ic
+		if n++; n >= plan.trip {
+			n, block = 0, plan.exit
+			break
+		}
+		if used+lp.maxPrefix >= budget {
+			break
+		}
+	}
+	*cell = n
+	*p.rand = r
+	return used, block, sum
 }
 
 // RunIsolated executes the process to completion on a single core with a

@@ -7,7 +7,7 @@
 // The tables are built from the same bodyCycles / bodyIdealPs helpers
 // Process.Step calls, so table-priced and Step-priced runs charge every
 // block identically by construction (the reference test in
-// tables_test.go pins it step by step).
+// tables_test.go pins it at every burst end).
 //
 // Concurrency follows the ImageCache singleflight idiom: lanes are
 // immutable once published, lookups take a read lock, and a lane is built
@@ -35,11 +35,11 @@ type laneKey struct {
 	fastPs      int64  // fastest clock, prices the ledger counterfactual
 }
 
-// blockCost is one block's precomputed pricing under a lane.
+// blockCost is one block's precomputed pricing under a lane. Its ledger
+// actual time is ic × PsPerCycle, computed where charged.
 type blockCost struct {
-	ic       int64 // body cycles (identical to Step's truncation)
-	actualPs int64 // ic × PsPerCycle
-	idealPs  int64 // fastest-clock counterfactual picoseconds
+	ic      int64 // body cycles (identical to Step's truncation)
+	idealPs int64 // fastest-clock counterfactual picoseconds
 }
 
 // Lane is one pricing environment's block cost table, indexed
@@ -48,6 +48,8 @@ type Lane struct {
 	par     CoreParams
 	shareKB float64
 	cost    [][]blockCost
+	// batch prices the image's batch plans (batch.go), by plan index.
+	batch []lanePlan
 }
 
 // CostTables is a store of lanes, safe for concurrent use by every run of
@@ -106,7 +108,9 @@ func (c *CostTables) Stats() TableStats {
 }
 
 // LaneFor resolves (building on first use) the lane for a process's image
-// under the given pricing environment. Called once per dispatch burst.
+// under the given pricing environment. Called once per dispatch burst. A
+// lane prices every block and, as integer sums of those prices, every path
+// of the image's batch plans.
 func (c *CostTables) LaneFor(p *Process, par *CoreParams, shareKB float64, fastPs int64) *Lane {
 	key := laneKey{
 		img:         p.Img,
@@ -135,40 +139,17 @@ func (c *CostTables) LaneFor(p *Process, par *CoreParams, shareKB float64, fastP
 		for b := range row {
 			info := &p.Img.blocks[proc][b]
 			ic := bodyCycles(info, par, p.cm.SyscallCycles, shareKB)
-			row[b] = blockCost{
-				ic:       ic,
-				actualPs: ic * par.PsPerCycle,
-				idealPs:  bodyIdealPs(info, par, ic, shareKB, fastPs),
-			}
+			row[b] = blockCost{ic: ic, idealPs: bodyIdealPs(info, par, ic, shareKB, fastPs)}
 		}
 		l.cost[proc] = row
 		priced += len(row)
+	}
+	l.batch = make([]lanePlan, len(p.Img.plans))
+	for i := range p.Img.plans {
+		l.batch[i] = p.Img.plans[i].price(p.Img.blocks, l.cost)
 	}
 	c.lanes[key] = l
 	c.misses.Add(1)
 	c.priced.Add(uint64(priced))
 	return l
-}
-
-// StepLane is Step with the block cost read from the lane's table (no
-// per-step float math). The kernel prices every step this way; results
-// are identical to Step by construction.
-func (p *Process) StepLane(lane *Lane, coreID int) StepResult {
-	info := &p.Img.blocks[p.curProc][p.curBlock]
-	var res StepResult
-	if len(info.markIDs) > 0 {
-		p.execMarks(info, &lane.par, coreID, &res)
-	}
-	bc := &lane.cost[p.curProc][p.curBlock]
-	if p.Work != nil {
-		p.Work.Add(bc.actualPs, bc.idealPs)
-	}
-	p.Counters.Add(uint64(info.instrs), uint64(bc.ic))
-	if info.memRefs > 0 {
-		p.Counters.AddMem(uint64(info.memRefs))
-	}
-	res.Cycles += bc.ic
-
-	p.advanceControl(info, &res)
-	return res
 }

@@ -3,6 +3,8 @@ package osched
 import (
 	"runtime"
 	"testing"
+
+	"phasetune/internal/prog"
 )
 
 // TestDispatchAllocationSteadyState pins the allocation-free hot path: once
@@ -48,5 +50,52 @@ func TestDispatchAllocationSteadyState(t *testing.T) {
 	// ~0; 1.0 leaves room for incidental runtime allocation noise.
 	if perDispatch > 1.0 {
 		t.Errorf("hot path allocates %.2f objects per dispatch, want ~0 (heap boxing regression?)", perDispatch)
+	}
+}
+
+// TestRunBurstDispatchAllocsZero pins 0 allocs/op for steady-state
+// dispatch through Process.RunBurst on every path it takes: batched
+// iterations of multi-path bodies, batched iterations through a helper
+// call, and single steps through a geometric loop that never batches.
+func TestRunBurstDispatchAllocsZero(t *testing.T) {
+	arm := func(mix prog.BlockMix) func(*prog.ProcBuilder) {
+		return func(pb *prog.ProcBuilder) { pb.Straight(mix) }
+	}
+	alu := prog.BlockMix{IntALU: 12, IntMul: 2}
+	mem := prog.BlockMix{Load: 8, Store: 4, IntALU: 2, WorkingSetKB: 64 * 1024, Locality: 0.3}
+
+	branchy := prog.NewBuilder("branchy")
+	branchy.Proc("main").Loop(5e7, func(pb *prog.ProcBuilder) {
+		pb.Straight(alu).IfElse(0.5, arm(mem), arm(alu))
+	}).Ret()
+	helper := prog.NewBuilder("helper")
+	h := helper.Proc("body")
+	h.Straight(mem).IfElse(0.3, arm(alu), arm(mem)).Ret()
+	helper.Proc("main").Loop(5e7, func(pb *prog.ProcBuilder) { pb.CallProc("body") }).Ret()
+	helper.SetEntry("main")
+	geometric := prog.NewBuilder("geometric")
+	geometric.Proc("main").LoopGeometric(1e9, func(pb *prog.ProcBuilder) {
+		pb.Straight(alu).IfElse(0.5, arm(mem), arm(alu))
+	}).Ret()
+
+	k := newKernel(t)
+	progs := []*prog.Program{branchy.MustBuild(), helper.MustBuild(), geometric.MustBuild()}
+	for i := 0; i < 6; i++ {
+		spawnProg(t, k, progs[i%3], uint64(i+1))
+	}
+	k.Run(2.0)
+	if k.Live() != 6 {
+		t.Fatalf("%d tasks exited during warmup; raise trip counts", 6-k.Live())
+	}
+	now := 2.0
+	allocs := testing.AllocsPerRun(40, func() {
+		now += k.Config.TimesliceSec // one burst per core
+		k.Run(now)
+	})
+	if k.Live() != 6 {
+		t.Fatalf("%d tasks exited during the measured window; raise trip counts", 6-k.Live())
+	}
+	if allocs != 0 {
+		t.Errorf("steady-state dispatch allocates %v objects per timeslice, want 0", allocs)
 	}
 }

@@ -118,6 +118,49 @@ func DefaultConfig() Config {
 	}
 }
 
+// Validate checks the configuration can drive a kernel on machine m. Every
+// periodic event re-arms one period after it fires and every burst runs
+// until its slice is used, so a period that rounds to zero picoseconds, or a
+// slice of zero cycles, stops simulated time and the kernel never returns.
+// So the timeslice, balance and sample periods must be finite and at least
+// one picosecond (a positive monitor period likewise), the timeslice must
+// give at least one cycle on every core type, and switch costs must not be
+// negative.
+func (c Config) Validate(m *amp.Machine) error {
+	for _, err := range []error{
+		checkPeriod("timeslice", c.TimesliceSec),
+		checkPeriod("balance interval", c.BalanceIntervalSec),
+		checkPeriod("sample interval", c.SampleIntervalSec),
+	} {
+		if err != nil {
+			return err
+		}
+	}
+	if !(c.MonitorIntervalSec <= 0) { // positive or NaN
+		if err := checkPeriod("monitor interval", c.MonitorIntervalSec); err != nil {
+			return err
+		}
+	}
+	for _, t := range m.Types {
+		if int64(c.TimesliceSec*t.CyclesPerSec) < 1 {
+			return fmt.Errorf("osched: timeslice %g s gives core type %s no cycle", c.TimesliceSec, t.Name)
+		}
+	}
+	if c.CoreSwitchCycles < 0 || c.ContextSwitchCycles < 0 {
+		return fmt.Errorf("osched: negative switch cost (core %d, context %d cycles)", c.CoreSwitchCycles, c.ContextSwitchCycles)
+	}
+	return nil
+}
+
+// checkPeriod rejects a period that is not finite or rounds to zero
+// picoseconds.
+func checkPeriod(name string, sec float64) error {
+	if math.IsNaN(sec) || math.IsInf(sec, 0) || SecToPs(sec) < 1 {
+		return fmt.Errorf("osched: %s %g s: want a finite period of at least 1 ps", name, sec)
+	}
+	return nil
+}
+
 // TaskState is a task's lifecycle state.
 type TaskState uint8
 
@@ -347,6 +390,9 @@ type Kernel struct {
 // NewKernel boots a kernel on the machine.
 func NewKernel(m *amp.Machine, cost exec.CostModel, cfg Config) (*Kernel, error) {
 	if err := m.Validate(); err != nil {
+		return nil, err
+	}
+	if err := cfg.Validate(m); err != nil {
 		return nil, err
 	}
 	k := &Kernel{
@@ -797,31 +843,16 @@ func (k *Kernel) dispatch(core int) {
 	instrBefore := t.Proc.Counters.Instructions
 	k.Cache.Attach(cs.l2)
 	// The effective share is constant for the whole burst: Attach/Detach
-	// bracket the loop and no other handler runs in between, so hoisting
-	// the lookup out of the step loop is exact — and it is what lets one
-	// cost-table lane price the whole burst.
+	// bracket it and no other handler runs in between, so one lookup is
+	// exact — and it is what lets one cost-table lane price the whole
+	// burst.
 	if k.Tables == nil {
 		k.Tables = exec.NewCostTables()
 	}
 	lane := k.Tables.LaneFor(t.Proc, par, k.Cache.ShareKB(cs.l2), k.fastPs)
 
-	exited := false
-	migrate := false
-	for used < sliceCycles {
-		res := t.Proc.StepLane(lane, core)
-		used += res.Cycles
-		if res.Exited {
-			exited = true
-			break
-		}
-		if res.WantMask != 0 && res.WantMask != t.Affinity {
-			t.Affinity = res.WantMask
-			if res.WantMask&(1<<uint(core)) == 0 {
-				migrate = true
-				break
-			}
-		}
-	}
+	br := t.Proc.RunBurst(lane, core, used, sliceCycles, &t.Affinity)
+	used, exited, migrate := br.Used, br.Exited, br.Migrate
 
 	k.Cache.Detach(cs.l2)
 	k.totalInstr += t.Proc.Counters.Instructions - instrBefore
