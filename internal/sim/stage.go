@@ -137,6 +137,15 @@ type cacheEntry struct {
 	err  error
 }
 
+// hashEntry is a singleflight slot of the program-hash memo: the first
+// requester encodes, every concurrent requester for the same program waits
+// on the same entry and shares its hash or error.
+type hashEntry struct {
+	once sync.Once
+	sum  uint64
+	err  error
+}
+
 // ImageCache is a content-keyed cache of prepared images. It is safe for
 // concurrent use; concurrent requests for the same key run the static
 // pipeline exactly once (the others block until it lands). An experiment
@@ -146,7 +155,7 @@ type cacheEntry struct {
 type ImageCache struct {
 	mu      sync.Mutex
 	entries map[artifactKey]*cacheEntry
-	hashes  map[*prog.Program]uint64
+	hashes  map[*prog.Program]*hashEntry
 
 	hits, misses uint64
 }
@@ -155,28 +164,32 @@ type ImageCache struct {
 func NewImageCache() *ImageCache {
 	return &ImageCache{
 		entries: map[artifactKey]*cacheEntry{},
-		hashes:  map[*prog.Program]uint64{},
+		hashes:  map[*prog.Program]*hashEntry{},
 	}
 }
 
+// encodeProgram writes a program's canonical encoding; progHash hashes it.
+var encodeProgram = prog.Encode
+
 // progHash returns the FNV-64a hash of the program's canonical encoding,
-// memoized per Program pointer (programs are immutable once built).
+// computed once per Program pointer (programs are immutable once built).
 func (c *ImageCache) progHash(p *prog.Program) (uint64, error) {
 	c.mu.Lock()
-	if h, ok := c.hashes[p]; ok {
-		c.mu.Unlock()
-		return h, nil
+	e, ok := c.hashes[p]
+	if !ok {
+		e = &hashEntry{}
+		c.hashes[p] = e
 	}
 	c.mu.Unlock()
-	h := fnv.New64a()
-	if err := prog.Encode(h, p); err != nil {
-		return 0, fmt.Errorf("sim: hashing %s: %w", p.Name, err)
-	}
-	sum := h.Sum64()
-	c.mu.Lock()
-	c.hashes[p] = sum
-	c.mu.Unlock()
-	return sum, nil
+	e.once.Do(func() {
+		h := fnv.New64a()
+		if err := encodeProgram(h, p); err != nil {
+			e.err = fmt.Errorf("sim: hashing %s: %w", p.Name, err)
+			return
+		}
+		e.sum = h.Sum64()
+	})
+	return e.sum, e.err
 }
 
 // Get returns the artifact for (program, spec, cost model), preparing it on

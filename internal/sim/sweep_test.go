@@ -63,6 +63,46 @@ func TestImageCacheSingleflight(t *testing.T) {
 	}
 }
 
+// TestImageCacheHashesProgramOnce pins that concurrent first requests for
+// one program share a single encoding, even when their image specs differ
+// and so miss the artifact singleflight.
+func TestImageCacheHashesProgramOnce(t *testing.T) {
+	cm := exec.DefaultCostModel()
+	fresh, err := workload.Generate(workload.ServingSpecs()[0], cm, amp.Quad2Fast2Slow())
+	if err != nil {
+		t.Fatal(err)
+	}
+	encodes := countEncodes(t)
+	c := NewImageCache()
+
+	const goroutines = 8
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(goroutines)
+	for i := 0; i < goroutines; i++ {
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			spec := ImageSpec{
+				Params: transition.Params{Technique: transition.Loop, MinSize: 40 + i, PropagateThroughUntyped: true},
+				Typing: phase.Options{K: 2, MinBlockInstrs: 5},
+			}
+			if _, err := c.Get(fresh.Prog, spec, cm); err != nil {
+				t.Error(err)
+			}
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+
+	if n := encodes.Load(); n != 1 {
+		t.Errorf("program encoded %d times for %d concurrent requests, want 1", n, goroutines)
+	}
+	if stats := c.Stats(); stats.Misses != goroutines {
+		t.Errorf("misses = %d, want %d distinct image specs", stats.Misses, goroutines)
+	}
+}
+
 func TestImageCacheKeyNormalization(t *testing.T) {
 	suite := testSuite(t)
 	c := NewImageCache()

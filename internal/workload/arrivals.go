@@ -289,20 +289,6 @@ func ServingMeanServiceSec() float64 {
 	return sum / float64(len(specs))
 }
 
-// ServingFleet generates the serving fleet benchmarks deterministically.
-func ServingFleet(cm exec.CostModel, machine *amp.Machine) ([]*Benchmark, error) {
-	specs := ServingSpecs()
-	out := make([]*Benchmark, len(specs))
-	for i, s := range specs {
-		b, err := Generate(s, cm, machine)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = b
-	}
-	return out, nil
-}
-
 // MaterializeOpen builds the open-system stream for a spec carrying an
 // arrival process: the serving fleet is generated against (cost, machine)
 // exactly like the suite, and the arrival schedule is generated from
@@ -310,20 +296,28 @@ func ServingFleet(cm exec.CostModel, machine *amp.Machine) ([]*Benchmark, error)
 // arrival-axis specs rebuild bit-identically across processes — the same
 // contract Materialize gives closed workloads.
 func (s Spec) MaterializeOpen(cm exec.CostModel, machine *amp.Machine) (*Stream, error) {
+	return s.MaterializeOpenWith(GeneratorFor(cm, machine))
+}
+
+// MaterializeOpenWith is MaterializeOpen with the serving fleet drawn from
+// gen. The arrival process is validated, and its schedule generated, before
+// gen is called, so a malformed spec generates nothing.
+func (s Spec) MaterializeOpenWith(gen Generator) (*Stream, error) {
 	if s.Arrivals == nil {
 		return nil, fmt.Errorf("workload: spec carries no arrival process; closed workloads go through Materialize")
 	}
 	if err := s.Arrivals.Validate(); err != nil {
 		return nil, err
 	}
-	fleet, err := ServingFleet(cm, machine)
-	if err != nil {
-		return nil, err
-	}
-	arrivals := s.Arrivals.generate(s.Seed, len(fleet))
+	specs := ServingSpecs()
+	arrivals := s.Arrivals.generate(s.Seed, len(specs))
 	if len(arrivals) == 0 {
 		return nil, fmt.Errorf("workload: arrival spec produced an empty stream (rate %g/s over %gs); raise the rate or horizon",
 			s.Arrivals.RatePerSec, s.Arrivals.HorizonSec)
+	}
+	fleet, err := GenerateAll(specs, gen)
+	if err != nil {
+		return nil, err
 	}
 	return &Stream{Fleet: fleet, Arrivals: arrivals}, nil
 }

@@ -661,18 +661,34 @@ func (s BenchSpec) AltRate(cm exec.CostModel, machine *amp.Machine) float64 {
 	return float64(s.Alternations) * 1e9 / inst
 }
 
-// Suite generates the full benchmark suite deterministically.
-func Suite(cm exec.CostModel, machine *amp.Machine) ([]*Benchmark, error) {
-	specs := Specs()
-	out := make([]*Benchmark, 0, len(specs))
-	for _, s := range specs {
-		b, err := Generate(s, cm, machine)
+// Generator produces the benchmark of one spec. Generate bound to a
+// (cost, machine) is the reference generator (GeneratorFor); a run host
+// passes a memoized one so each spec is generated once per environment.
+// Generation is a pure function of (spec, cost, machine), so which
+// generator built a benchmark never changes its program.
+type Generator func(BenchSpec) (*Benchmark, error)
+
+// GeneratorFor binds Generate to one (cost, machine).
+func GeneratorFor(cm exec.CostModel, machine *amp.Machine) Generator {
+	return func(s BenchSpec) (*Benchmark, error) { return Generate(s, cm, machine) }
+}
+
+// GenerateAll generates specs in order through gen.
+func GenerateAll(specs []BenchSpec, gen Generator) ([]*Benchmark, error) {
+	out := make([]*Benchmark, len(specs))
+	for i, s := range specs {
+		b, err := gen(s)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, b)
+		out[i] = b
 	}
 	return out, nil
+}
+
+// Suite generates the full benchmark suite deterministically.
+func Suite(cm exec.CostModel, machine *amp.Machine) ([]*Benchmark, error) {
+	return GenerateAll(Specs(), GeneratorFor(cm, machine))
 }
 
 // Workload is the paper's constant-size workload: a fixed number of slots,
@@ -768,31 +784,25 @@ func (s Spec) Build(suite []*Benchmark) *Workload {
 // suite draws do; Seed keeps driving per-process branch seeds through the
 // run configuration.
 func (s Spec) Materialize(suite []*Benchmark, cm exec.CostModel, machine *amp.Machine) (*Workload, error) {
-	switch {
-	case s.Fleet != "":
-		if s.Fleet != FleetAntagonist {
-			return nil, fmt.Errorf("workload: unknown fleet %q (want %q)", s.Fleet, FleetAntagonist)
-		}
-		return s.materializeFleet(AntagonistSpecs(), cm, machine)
-	case s.Alternations > 0:
-		anchors := AltAnchorSpecs()
-		specs := []BenchSpec{AltSpec(s.Alternations), anchors[0], AltSpecRev(s.Alternations), anchors[1]}
-		return s.materializeFleet(specs, cm, machine)
-	}
-	return s.Build(suite), nil
+	return s.MaterializeWith(suite, GeneratorFor(cm, machine))
 }
 
-// materializeFleet generates the named fleet members and cycles them across
-// the spec's slots, each slot queue repeating one benchmark — the shape both
-// synthetic axes (alternation rate, antagonist contention) share.
-func (s Spec) materializeFleet(specs []BenchSpec, cm exec.CostModel, machine *amp.Machine) (*Workload, error) {
-	fleet := make([]*Benchmark, len(specs))
-	for i, sp := range specs {
-		b, err := Generate(sp, cm, machine)
-		if err != nil {
-			return nil, err
-		}
-		fleet[i] = b
+// MaterializeWith is Materialize with the fleet members drawn from gen
+// instead of generated afresh: the synthetic fleets cycle their members
+// across the spec's slots, each slot queue repeating one benchmark — the
+// shape both synthetic axes (alternation rate, antagonist contention)
+// share. Suite draws read suite and never call gen.
+func (s Spec) MaterializeWith(suite []*Benchmark, gen Generator) (*Workload, error) {
+	specs, err := s.fleetSpecs()
+	if err != nil {
+		return nil, err
+	}
+	if specs == nil {
+		return s.Build(suite), nil
+	}
+	fleet, err := GenerateAll(specs, gen)
+	if err != nil {
+		return nil, err
 	}
 	w := &Workload{Slots: make([][]*Benchmark, s.Slots)}
 	for i := range w.Slots {
@@ -804,4 +814,20 @@ func (s Spec) materializeFleet(specs []BenchSpec, cm exec.CostModel, machine *am
 		w.Slots[i] = q
 	}
 	return w, nil
+}
+
+// fleetSpecs returns the members of the synthetic fleet the spec names, in
+// slot-cycle order, or nil for a suite draw.
+func (s Spec) fleetSpecs() ([]BenchSpec, error) {
+	switch {
+	case s.Fleet != "":
+		if s.Fleet != FleetAntagonist {
+			return nil, fmt.Errorf("workload: unknown fleet %q (want %q)", s.Fleet, FleetAntagonist)
+		}
+		return AntagonistSpecs(), nil
+	case s.Alternations > 0:
+		anchors := AltAnchorSpecs()
+		return []BenchSpec{AltSpec(s.Alternations), anchors[0], AltSpecRev(s.Alternations), anchors[1]}, nil
+	}
+	return nil, nil
 }
